@@ -8,6 +8,7 @@ metric is diag(B) + sigma * I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +55,16 @@ def damp_pair(s: np.ndarray, y: np.ndarray, theta: float) -> CurvaturePair:
 def theta_init(s_prev: np.ndarray, y_prev: np.ndarray, theta_floor: float) -> float:
     """Scale for the initial operator B_0 = theta * I from the latest raw pair.
 
-    theta = max(tr(y^T y) / tr(s^T y), theta_floor); nonpositive curvature
-    falls back to the floor.
+    theta = max(tr(y^T y) / tr(s^T y), theta_floor). Nonpositive curvature
+    falls back to the floor, and so does curvature at roundoff level,
+    tr(s^T y) <= 1e-12 ||s|| ||y||: a step orders of magnitude below the
+    iterate's scale gives a quotient that overflows the metric.
     """
     sy = float(np.sum(s_prev * y_prev))
-    if sy <= 0.0:
+    yy = float(np.sum(y_prev * y_prev))
+    if sy <= 1e-12 * math.sqrt(float(np.sum(s_prev * s_prev)) * yy):
         return theta_floor
-    return max(float(np.sum(y_prev * y_prev)) / sy, theta_floor)
+    return max(yy / sy, theta_floor)
 
 
 @dataclass

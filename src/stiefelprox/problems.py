@@ -53,6 +53,11 @@ def _power_norm(matvec, dim: int, iters: int = 100, tol: float = 1e-8) -> float:
     return lam
 
 
+def _check_mu(mu: float) -> None:
+    if not mu >= 0:
+        raise ValueError(f"mu must be nonnegative, got {mu}")
+
+
 def schrodinger_operator(n: int, boundary: str = "periodic") -> sp.csr_matrix:
     """-1/2 of the second-order central-difference Laplacian on [0, 50].
 
@@ -77,6 +82,7 @@ def schrodinger_operator(n: int, boundary: str = "periodic") -> sp.csr_matrix:
 
 def make_cm(n: int, r: int, mu: float, boundary: str = "periodic") -> CompositeProblem:
     """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X."""
+    _check_mu(mu)
     H = schrodinger_operator(n, boundary)
     L = 2.0 * _power_norm(lambda v: H @ v, n)
 
@@ -106,6 +112,7 @@ def make_spca(
     """
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
+    _check_mu(mu)
     if data is not None:
         A = np.array(data, dtype=float)
     else:

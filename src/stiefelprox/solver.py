@@ -74,6 +74,16 @@ class SolverConfig:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
         if self.window_m < 0 or self.memory_p < 1:
             raise ValueError("window_m must be >= 0 and memory_p >= 1")
+        if self.theta_floor <= 0:
+            raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
+        if self.tol_factor < 0:
+            raise ValueError(f"tol_factor must be nonnegative, got {self.tol_factor}")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
+        if self.max_ssn < 1:
+            raise ValueError(f"max_ssn must be >= 1, got {self.max_ssn}")
+        if self.max_inner_sigma < 1:
+            raise ValueError(f"max_inner_sigma must be >= 1, got {self.max_inner_sigma}")
 
 
 @dataclass(frozen=True)

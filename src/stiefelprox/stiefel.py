@@ -50,7 +50,8 @@ class StiefelPoint:
 
     Construction re-orthonormalizes through the polar factor whenever the
     feasibility residual ||X^T X - I||_F exceeds 1e-10; this contains drift
-    over very long iteration counts. The stored array is read-only.
+    over very long iteration counts. Non-finite entries raise ValueError. The
+    stored array is read-only.
     """
 
     __slots__ = ("data", "n", "r")
@@ -62,7 +63,12 @@ class StiefelPoint:
         n, r = X.shape
         if r > n:
             raise ValueError(f"need r <= n columns, got shape {X.shape}")
-        if _feasibility(X) > FEASIBILITY_TOL:
+        feas = _feasibility(X)
+        if not feas <= FEASIBILITY_TOL:
+            # any nan or inf entry makes the residual non-finite, so finite
+            # feasible input pays for no further check
+            if not np.isfinite(X).all():
+                raise ValueError("matrix has non-finite entries")
             X = _polar_factor(X)
         X.flags.writeable = False
         self.data = X

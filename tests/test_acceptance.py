@@ -28,6 +28,7 @@ from stiefelprox import (
     ssn_solve,
     DiagonalMetric,
 )
+from stiefelprox.subproblem import _DIRECT_MAX_R
 from oracles import dense_lbfgs_diag, splitting_direction, subproblem_value
 
 
@@ -127,8 +128,11 @@ def test_criterion_5_subproblem_oracle_equivalence():
     rng = np.random.default_rng(7)
     worst_dist = 0.0
     worst_gap = -math.inf
-    for trial in range(50):
+    for trial in range(56):
         n, r = (6, 2) if trial % 2 == 0 else (10, 3)
+        if trial >= 50:
+            # above the direct-solve crossover, so CG computes the Newton steps
+            n, r = _DIRECT_MAX_R + 4, _DIRECT_MAX_R + 1
         mu = (0.0, 0.1, 1.0)[trial % 3]
         X = random_point(n, r, 500 + trial)
         G = 2.0 * rng.standard_normal((n, r))
@@ -147,7 +151,7 @@ def test_criterion_5_subproblem_oracle_equivalence():
         assert dist <= 1e-6, f"trial {trial}: distance {dist:.2e}"
         assert gap <= 1e-8, f"trial {trial}: objective gap {gap:.2e}"
     print(
-        f"\nACCEPTANCE 5 PASS: 50 subproblems, worst |V_ssn - V_oracle| {worst_dist:.2e} <= 1e-6, "
+        f"\nACCEPTANCE 5 PASS: 56 subproblems, worst |V_ssn - V_oracle| {worst_dist:.2e} <= 1e-6, "
         f"worst objective gap {worst_gap:.2e} <= 1e-8"
     )
 

@@ -68,6 +68,14 @@ class TestThetaInit:
         assert theta_init(s, y, 1e-3) == 1e-3
         assert theta_init(s, -s, 1e-3) == 1e-3
 
+    def test_roundoff_level_curvature_floors(self):
+        # s and y orthogonal up to roundoff: tr(s^T y) / (||s|| ||y||) = 1e-20
+        # would give theta = 1e20 * ||y|| / ||s||
+        s = np.array([[1.0], [1e-20]])
+        y = np.array([[0.0], [1.0]])
+        assert theta_init(s, y, 1e-3) == 1e-3
+        assert theta_init(1e-18 * s, y, 1e-3) == 1e-3
+
 
 class TestBuildDiag:
     def test_empty_memory_gives_theta(self):

@@ -78,6 +78,10 @@ class TestCompressedModes:
             X = random_point(32, 3, seed).data
             assert prob.eval_f(X) >= -1e-10
 
+    def test_rejects_negative_mu(self):
+        with pytest.raises(ValueError):
+            make_cm(16, 2, -0.5)
+
     def test_descriptor(self):
         prob = make_cm(16, 2, 0.3)
         assert prob.descriptor["kind"] == "cm"
@@ -121,6 +125,10 @@ class TestSparsePca:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             make_spca(3, 5, 1.0)
+
+    def test_rejects_negative_mu(self):
+        with pytest.raises(ValueError):
+            make_spca(20, 3, -0.1, seed=0)
 
     def test_solved_instance_lands_in_reported_range(self):
         # published ballpark for (n, r, mu) = (500, 20, 1.0): objective near

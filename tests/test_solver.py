@@ -49,6 +49,11 @@ class TestConfig:
             dict(sigma0=0.0),
             dict(window_m=-1),
             dict(memory_p=0),
+            dict(max_ssn=0),
+            dict(max_outer=-1),
+            dict(tol_factor=-1e-8),
+            dict(theta_floor=0.0),
+            dict(max_inner_sigma=0),
         ],
     )
     def test_rejects_bad_values(self, bad):

@@ -203,6 +203,16 @@ def test_construction_reorthonormalizes():
     assert feasibility_residual(X) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_entries(bad):
+    raw = random_point(6, 2, 7).data.copy()
+    raw[3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        StiefelPoint(raw)
+    with pytest.raises(ValueError, match="non-finite"):
+        StiefelPoint(np.full((6, 2), bad))
+
+
 def test_tangent_vector_rejects_nontangent():
     X = random_point(5, 2, 6)
     with pytest.raises(ValueError):

@@ -11,7 +11,11 @@ from stiefelprox import (
     v_of_lambda,
 )
 from stiefelprox.metric import metric_norm_sq
+from stiefelprox.subproblem import _DIRECT_MAX_R, _direct_step, _newton_matrix, _row_outer
 from oracles import kkt_direction, splitting_direction, subproblem_value
+
+# Newton steps are solved directly at the first shape and by CG at the second
+ORACLE_SHAPES = [(6, 2), (_DIRECT_MAX_R + 4, _DIRECT_MAX_R + 1)]
 
 
 def make_instance(n, r, seed, sigma=0.0, grad_scale=2.0):
@@ -174,6 +178,46 @@ class TestJacobian:
             assert np.sum(j1 * D1) >= -1e-12
 
 
+def symmetric_basis(r):
+    """Orthonormal basis of the symmetric r x r matrices, upper triangle row by row."""
+    basis = []
+    for i, j in zip(*np.triu_indices(r)):
+        B = np.zeros((r, r))
+        B[i, j] = B[j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
+        basis.append(B)
+    return basis
+
+
+class TestNewtonMatrix:
+    @pytest.mark.parametrize("r", sorted({1, 2, 3, 4, _DIRECT_MAX_R}))
+    @pytest.mark.parametrize("mu, mask", [(0.3, "mixed"), (1e6, "dead"), (0.0, "active")])
+    def test_matches_jacobian_apply(self, r, mu, mask):
+        X, G, metric = make_instance(2 * r + 6, r, 30 + r, sigma=0.1)
+        rng = np.random.default_rng(r)
+        lam = rng.standard_normal((r, r))
+        lam = lam + lam.T
+        w = metric.weights()
+        P = X.data - (G - 2.0 * X.data @ lam) / w[:, None]
+        J = np.abs(P) > (mu / w)[:, None]
+        assert {"mixed": 0 < J.mean() < 1, "dead": not J.any(), "active": J.all()}[mask]
+        active = J * (2.0 / w)[:, None]
+        eta = 0.05
+        H = _newton_matrix(_row_outer(X.data), active, eta)
+        basis = symmetric_basis(r)
+        ref = np.array(
+            [[np.sum(Ba * (jacobian_apply(X, G, metric, mu, lam, Bb) + eta * Bb)) for Bb in basis] for Ba in basis]
+        )
+        np.testing.assert_array_equal(H, H.T)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the direct step solves (Jac + eta I) D = -E
+        E = rng.standard_normal((r, r))
+        E = E + E.T
+        D = _direct_step(_row_outer(X.data), active, eta, E)
+        np.testing.assert_array_equal(D, D.T)
+        lhs = jacobian_apply(X, G, metric, mu, lam, D) + eta * D
+        assert np.linalg.norm(lhs + E) <= 1e-10 * np.linalg.norm(E)
+
+
 class TestSsnSolve:
     def test_stationary_subproblem_needs_no_iterations(self):
         X, _, metric = make_instance(6, 2, 20)
@@ -184,26 +228,28 @@ class TestSsnSolve:
         np.testing.assert_array_equal(res.lam, 0.0)
 
     def test_smooth_case_matches_dense_kkt(self):
-        for seed in range(6):
-            X, G, metric = make_instance(6, 2, 60 + seed, sigma=0.2 * (seed % 2))
-            tol = 1e-10 * max(1.0, np.linalg.norm(G))
-            res = ssn_solve(X, G, metric, 0.0, None, tol, 100)
-            assert res.converged
-            V_ref = kkt_direction(X.data, G, metric.weights())
-            assert np.linalg.norm(res.v.data - V_ref) <= 1e-8
+        for n, r in ORACLE_SHAPES:
+            for seed in range(6):
+                X, G, metric = make_instance(n, r, 60 + seed, sigma=0.2 * (seed % 2))
+                tol = 1e-10 * max(1.0, np.linalg.norm(G))
+                res = ssn_solve(X, G, metric, 0.0, None, tol, 100)
+                assert res.converged
+                V_ref = kkt_direction(X.data, G, metric.weights())
+                assert np.linalg.norm(res.v.data - V_ref) <= 1e-8
 
     def test_l1_case_matches_splitting_oracle(self):
-        for seed in range(6):
-            X, G, metric = make_instance(6, 2, 80 + seed)
-            tol = 1e-10 * max(1.0, np.linalg.norm(G))
-            res = ssn_solve(X, G, metric, 0.1, None, tol, 100)
-            w = metric.weights()
-            V_ref = splitting_direction(X.data, G, w, 0.1)
-            assert np.linalg.norm(res.v.data - V_ref) <= 1e-6
-            phi_gap = subproblem_value(X.data, G, w, 0.1, res.v.data) - subproblem_value(
-                X.data, G, w, 0.1, V_ref
-            )
-            assert phi_gap <= 1e-8
+        for n, r in ORACLE_SHAPES:
+            for seed in range(6):
+                X, G, metric = make_instance(n, r, 80 + seed)
+                tol = 1e-10 * max(1.0, np.linalg.norm(G))
+                res = ssn_solve(X, G, metric, 0.1, None, tol, 100)
+                w = metric.weights()
+                V_ref = splitting_direction(X.data, G, w, 0.1)
+                assert np.linalg.norm(res.v.data - V_ref) <= 1e-6
+                phi_gap = subproblem_value(X.data, G, w, 0.1, res.v.data) - subproblem_value(
+                    X.data, G, w, 0.1, V_ref
+                )
+                assert phi_gap <= 1e-8
 
     def test_returned_direction_is_tangent(self):
         X, G, metric = make_instance(8, 3, 21)
@@ -246,3 +292,5 @@ class TestSsnSolve:
             ssn_solve(X, G, metric, 0.1, max_iter=0)
         with pytest.raises(ValueError):
             ssn_solve(X, G, DiagonalMetric(np.zeros(5), 0.0), 0.1)
+        with pytest.raises(ValueError):
+            ssn_solve(X, G, metric, -0.1)
