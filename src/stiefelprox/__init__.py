@@ -14,7 +14,6 @@ from .stiefel import (
     project_tangent,
     random_point,
     retract,
-    riemannian_gradient,
 )
 from .metric import (
     CurvaturePair,
@@ -25,14 +24,7 @@ from .metric import (
     metric_norm_sq,
     theta_init,
 )
-from .subproblem import (
-    SubproblemResult,
-    jacobian_apply,
-    prox_l1_weighted,
-    residual_E,
-    ssn_solve,
-    v_of_lambda,
-)
+from .subproblem import SubproblemResult, ssn_solve
 from .solver import (
     Mode,
     SolveResult,
@@ -49,11 +41,9 @@ from .solver import (
 )
 from .problems import (
     CompositeProblem,
-    load_matrix_csv,
     make_cm,
     make_problem,
     make_spca,
-    save_matrix_csv,
     schrodinger_operator,
     sparsity,
 )
@@ -61,16 +51,15 @@ from .bench import ExperimentSpec, SummaryRow, emit_csv, run_experiment
 
 __all__ = [
     "RetractionKind", "StiefelPoint", "TangentVector", "feasibility_residual",
-    "project_tangent", "random_point", "retract", "riemannian_gradient",
+    "project_tangent", "random_point", "retract",
     "CurvaturePair", "DiagonalMetric", "LbfgsMemory", "build_diag",
     "damp_pair", "metric_norm_sq", "theta_init",
-    "SubproblemResult", "jacobian_apply", "prox_l1_weighted", "residual_E",
-    "ssn_solve", "v_of_lambda",
+    "SubproblemResult", "ssn_solve",
     "Mode", "SolveResult", "SolverConfig", "Status", "TraceRecord",
     "compute_rho", "line_search", "nonmonotone_reference",
     "pg_baseline_metric", "solve", "update_sigma", "write_trace_csv",
-    "CompositeProblem", "load_matrix_csv", "make_cm", "make_problem",
-    "make_spca", "save_matrix_csv", "schrodinger_operator", "sparsity",
+    "CompositeProblem", "make_cm", "make_problem",
+    "make_spca", "schrodinger_operator", "sparsity",
     "ExperimentSpec", "SummaryRow", "emit_csv", "run_experiment",
 ]
 

@@ -63,6 +63,8 @@ class ExperimentSpec:
         unknown = set(self.overrides) - set(_CONFIG_FIELD_TYPES)
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
+        # out-of-range values fail here, not once per run inside the sweep
+        SolverConfig(**self.overrides)
 
 
 @dataclass(frozen=True)
@@ -133,55 +135,35 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
         for mode in spec.modes
         for retraction in spec.retractions
     ]
+    labels = [run_label(spec.problem, *cell) for cell in cells]
     trace_dir = Path(spec.trace_dir) if spec.trace_dir else None
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for ci, (n, r, mu, mode, retraction) in enumerate(cells):
-        label = run_label(spec.problem, n, r, mu, mode, retraction)
-        for i in range(spec.seeds):
-            seed = spec.base_seed + i
+    for label, (n, r, mu, mode, retraction) in zip(labels, cells):
+        for seed in range(spec.base_seed, spec.base_seed + spec.seeds):
             tpath = str(trace_dir / f"{label}_seed{seed}.csv") if trace_dir else None
-            tasks.append((ci, (spec.problem, n, r, mu, mode, retraction, seed, spec.overrides, tpath)))
+            tasks.append((spec.problem, n, r, mu, mode, retraction, seed, spec.overrides, tpath))
 
+    # results come back in task order, so each cell's runs are one slice
     workers = _pool_size(len(tasks))
-    results: dict[tuple[int, int], dict] = {}
     if workers == 1:
-        for idx, (ci, task) in enumerate(tasks):
-            results[(ci, idx)] = _run_single(task)
+        outs = list(map(_run_single, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (ci, _), out in zip(tasks, pool.map(_run_single, [t for _, t in tasks])):
-                results[(ci, len(results))] = out
+            outs = list(pool.map(_run_single, tasks))
 
     rows = []
-    per_cell: dict[int, list[dict]] = {ci: [] for ci in range(len(cells))}
-    for (ci, _), out in sorted(results.items()):
-        per_cell[ci].append(out)
-    for ci, (n, r, mu, mode, retraction) in enumerate(cells):
-        outs = per_cell[ci]
-        good = [o for o in outs if o["ok"]]
-        failures = len(outs) - len(good)
+    for ci, label in enumerate(labels):
+        cell = outs[ci * spec.seeds : (ci + 1) * spec.seeds]
+        good = [o for o in cell if o["ok"]]
         if good:
-            mean = lambda key: float(np.mean([o[key] for o in good]))
-            row = SummaryRow(
-                label=run_label(spec.problem, n, r, mu, mode, retraction),
-                iterations=mean("iter"),
-                F=mean("F"),
-                sparsity=mean("sparsity"),
-                cpu_s=mean("cpu_s"),
-                linesearch=mean("linesearch"),
-                ssn_iters=mean("ssn_iters"),
-                failures=failures,
-            )
+            keys = ("iter", "F", "sparsity", "cpu_s", "linesearch", "ssn_iters")
+            stats = [float(np.mean([o[key] for o in good])) for key in keys]
         else:
-            row = SummaryRow(
-                label=run_label(spec.problem, n, r, mu, mode, retraction),
-                iterations=0.0, F=float("nan"), sparsity=float("nan"),
-                cpu_s=0.0, linesearch=0.0, ssn_iters=0.0, failures=failures,
-            )
-        rows.append(row)
+            stats = [0.0, float("nan"), float("nan"), 0.0, 0.0, 0.0]
+        rows.append(SummaryRow(label, *stats, failures=len(cell) - len(good)))
     return rows
 
 
@@ -206,8 +188,11 @@ def _parse_overrides(items: Optional[Sequence[str]]) -> dict:
         key, value = item.split("=", 1)
         if key not in _CONFIG_FIELD_TYPES:
             raise SystemExit(f"unknown config field {key!r}")
-        ftype = _CONFIG_FIELD_TYPES[key]
-        overrides[key] = int(value) if ftype in ("int", int) else float(value)
+        convert = int if _CONFIG_FIELD_TYPES[key] in ("int", int) else float
+        try:
+            overrides[key] = convert(value)
+        except ValueError:
+            raise SystemExit(f"--config {key} expects {convert.__name__}, got {value!r}") from None
     return overrides
 
 
@@ -229,18 +214,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--trace-dir", default=None, help="write per-run iteration traces here")
     args = parser.parse_args(argv)
 
-    spec = ExperimentSpec(
-        problem=args.problem,
-        n_values=tuple(args.n),
-        r_values=tuple(args.r),
-        mu_values=tuple(args.mu),
-        modes=tuple(args.mode),
-        retractions=tuple(args.retraction),
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        overrides=_parse_overrides(args.config),
-        trace_dir=args.trace_dir,
-    )
+    try:
+        spec = ExperimentSpec(
+            problem=args.problem,
+            n_values=tuple(args.n),
+            r_values=tuple(args.r),
+            mu_values=tuple(args.mu),
+            modes=tuple(args.mode),
+            retractions=tuple(args.retraction),
+            seeds=args.seeds,
+            base_seed=args.base_seed,
+            overrides=_parse_overrides(args.config),
+            trace_dir=args.trace_dir,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bench: {exc}") from None
     rows = run_experiment(spec)
     emit_csv(rows, args.out)
     failed = sum(row.failures for row in rows)

@@ -149,24 +149,3 @@ def sparsity(X: np.ndarray, threshold: float = SPARSITY_THRESHOLD) -> float:
     X = np.asarray(X)
     return float(np.count_nonzero(np.abs(X) <= threshold)) / X.size
 
-
-def save_matrix_csv(M: np.ndarray, path, seed: int = 0) -> None:
-    """Dense CSV with the one-line header '# rows cols seed'."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {M.shape[0]} {M.shape[1]} {seed}\n")
-        for row in M:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix_csv(path) -> tuple[np.ndarray, int]:
-    """Read a matrix written by save_matrix_csv; returns (matrix, seed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"missing '# rows cols seed' header in {path}")
-        rows, cols, seed = (int(tok) for tok in header[1:].split())
-        M = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if M.shape != (rows, cols):
-        raise ValueError(f"header promises {(rows, cols)}, file holds {M.shape}")
-    return M, seed

@@ -164,12 +164,11 @@ def line_search(
     V = v.data
     quad = metric_norm_sq(metric, V)
     retr = _RETRACTIONS[config.retraction]
-    mu = problem.mu
     alpha = 1.0
     backtracks = 0
     while alpha >= 1e-20:
         Z = retr(X.data, alpha * V)
-        F_trial = problem.eval_f(Z) + mu * float(np.abs(Z).sum())
+        F_trial = problem.objective(Z)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
             return LineSearchResult(alpha, Z, backtracks, F_trial)
         alpha *= config.ls_gamma
@@ -215,14 +214,12 @@ def update_sigma(sigma: float, rho: float, config: SolverConfig) -> tuple[float,
     return config.gamma2 * sigma, False
 
 
-def pg_baseline_metric(problem: CompositeProblem, n: Optional[int] = None) -> DiagonalMetric:
-    """Constant 1/L-step metric for the proximal-gradient baseline.
+def pg_baseline_metric(problem: CompositeProblem, n: int) -> DiagonalMetric:
+    """Constant 1/L-step metric on n rows for the proximal-gradient baseline.
 
     Weight is the gradient Lipschitz estimate, floored at 1e-3 so a flat
     objective (L = 0) still yields a valid metric.
     """
-    if n is None:
-        n = int(problem.descriptor["n"])
     L = max(float(problem.lipschitz_estimate), 1e-3)
     return DiagonalMetric(np.full(n, L), 0.0)
 
@@ -252,7 +249,7 @@ def solve(
     pg_metric = pg_baseline_metric(problem, n) if pg_mode else None
 
     G = np.asarray(problem.eval_grad_f(X.data), dtype=float)
-    F_cur = float(problem.eval_f(X.data)) + mu * float(np.abs(X.data).sum())
+    F_cur = problem.objective(X.data)
     F_hist: deque = deque([F_cur], maxlen=window_m + 1)
     lam_warm = np.zeros((r, r))
     trace: list[TraceRecord] = []
@@ -293,7 +290,7 @@ def solve(
                 ):
                     return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
 
-            F_ref = max(F_hist)
+            F_ref = nonmonotone_reference(F_hist, window_m)
             ls = line_search(problem, X, sub.v, metric, F_ref, cfg)
             if ls is None:
                 bt_total += failed_ls_trials

@@ -114,11 +114,6 @@ def project_tangent(X: StiefelPoint, M: np.ndarray) -> TangentVector:
     return TangentVector(_project(X.data, M), X)
 
 
-def riemannian_gradient(X: StiefelPoint, G: np.ndarray) -> TangentVector:
-    """Riemannian gradient from the Euclidean gradient G at X (tangent projection)."""
-    return project_tangent(X, G)
-
-
 def _retract_svd(X: np.ndarray, D: np.ndarray) -> np.ndarray:
     return _polar_factor(X + D)
 

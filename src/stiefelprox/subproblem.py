@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metric import DiagonalMetric
-from .stiefel import StiefelPoint, TangentVector, _project
+from .stiefel import StiefelPoint, TangentVector, project_tangent
 
 # Newton globalization constants: residual-reduction acceptance, CG forcing,
 # regularization window for the generalized Jacobian.
@@ -56,69 +56,34 @@ def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def prox_l1_weighted(P: np.ndarray, weights: np.ndarray, mu: float) -> np.ndarray:
-    """Exact minimizer of mu ||Y||_1 + 1/2 tr((Y-P)^T diag(weights) (Y-P)).
+def _fields(
+    Xa: np.ndarray, base: np.ndarray, scale: np.ndarray, thresh: np.ndarray, L: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dual map at a symmetric multiplier L: (P, V(L), E(L)).
 
-    Separable: entry (i, j) soft-thresholds P_ij at mu / weights[i].
+    P = base + scale o (X L) is the prox argument, with base = X - G/w and
+    scale = 2/w per row (the adjoint of A on symmetric L is A*(L) = 2 X L).
+    V = prox(P) - X, where prox soft-thresholds entry (i, j) at thresh_i =
+    mu/w_i; at thresh = 0 it returns P exactly (sign(P) |P| = P), so the
+    smooth case mu = 0 needs no branch. E = A(V) = V^T X + X^T V is zero
+    exactly when V is tangent at X.
     """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("prox weights must be strictly positive")
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return np.array(P, dtype=float)
-    thresh = (mu / weights)[:, None]
-    return np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0)
+    P = base + scale * (Xa @ L)
+    V = np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0) - Xa
+    E = V.T @ Xa + Xa.T @ V
+    return P, V, E
 
 
-def v_of_lambda(
-    X: StiefelPoint,
-    grad_f: np.ndarray,
-    metric: DiagonalMetric,
-    mu: float,
-    lam: np.ndarray,
-) -> np.ndarray:
-    """Unconstrained minimizer V(L) of the Lagrangian at multiplier L.
+def _jacobian(Xa: np.ndarray, active: np.ndarray, eta: float, D: np.ndarray) -> np.ndarray:
+    """(Jac + eta I) applied to a symmetric D, for one generalized Jacobian of E.
 
-    The adjoint of A(V) = V^T X + X^T V on symmetric L is A*(L) = 2 X L.
+    active = J o scale, with J the 0/1 mask of prox-active entries
+    (|P_ij| > thresh_i; entries exactly at the kink take 0), so the Jacobian
+    maps D to A(active o (X D)). Self-adjoint and positive semidefinite on
+    symmetric matrices; eta > 0 makes it definite.
     """
-    w = metric.weights()
-    P = X.data - (grad_f - 2.0 * (X.data @ lam)) / w[:, None]
-    return prox_l1_weighted(P, w, mu) - X.data
-
-
-def residual_E(
-    X: StiefelPoint,
-    grad_f: np.ndarray,
-    metric: DiagonalMetric,
-    mu: float,
-    lam: np.ndarray,
-) -> np.ndarray:
-    """Dual residual E(L) = A(V(L)); zero exactly when V(L) is tangent at X."""
-    V = v_of_lambda(X, grad_f, metric, mu, lam)
-    return V.T @ X.data + X.data.T @ V
-
-
-def jacobian_apply(
-    X: StiefelPoint,
-    grad_f: np.ndarray,
-    metric: DiagonalMetric,
-    mu: float,
-    lam: np.ndarray,
-    D: np.ndarray,
-) -> np.ndarray:
-    """One generalized-Jacobian element of E at L, applied to a symmetric D.
-
-    dV = J o ((2 X D) / w) with J the 0/1 mask of prox-active entries
-    (|P_ij| > mu / w_i; entries exactly at the kink take 0), then A(dV).
-    Self-adjoint and positive semidefinite on symmetric matrices.
-    """
-    w = metric.weights()
-    P = X.data - (grad_f - 2.0 * (X.data @ lam)) / w[:, None]
-    mask = np.abs(P) > (mu / w)[:, None]
-    dV = mask * ((2.0 * (X.data @ D)) / w[:, None])
-    return dV.T @ X.data + X.data.T @ dV
+    M = Xa.T @ (active * (Xa @ D))
+    return M + M.T + eta * D
 
 
 @dataclass
@@ -210,7 +175,7 @@ def _row_outer(Xa: np.ndarray) -> np.ndarray:
 
 
 def _newton_matrix(XX: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
-    """Matrix of D -> A(active o (X D)) + eta D in the coordinates of _newton_plan.
+    """Matrix of D -> _jacobian(X, active, eta, D) in the coordinates of _newton_plan.
 
     XX holds the row outer products of X (see _row_outer), active the n x r
     scaled prox-active mask J o (2/w). Symmetric, and positive definite for
@@ -272,12 +237,7 @@ def ssn_solve(
     thresh = (mu / w)[:, None]
     scale = (2.0 / w)[:, None]
     lam = _sym(np.asarray(lam0, dtype=float)) if lam0 is not None else np.zeros((r, r))
-
-    def fields(L):
-        P = base + scale * (Xa @ L)
-        V = np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0) - Xa if mu > 0 else P - Xa
-        E = V.T @ Xa + Xa.T @ V
-        return P, V, E
+    fields = functools.partial(_fields, Xa, base, scale, thresh)
 
     P, V, E = fields(lam)
     res = float(np.linalg.norm(E))
@@ -296,11 +256,7 @@ def ssn_solve(
         if direct:
             step = _direct_step(XX, active, eta, E)
         else:
-
-            def newton_op(D, active=active, eta=eta):
-                M = Xa.T @ (active * (Xa @ D))
-                return M + M.T + eta * D
-
+            newton_op = functools.partial(_jacobian, Xa, active, eta)
             step = _cg_symmetric(newton_op, -E, rel_tol=min(0.1, res), max_iter=cg_cap)
         u = _sym(lam + step)
         Pu, Vu, Eu = fields(u)
@@ -364,5 +320,4 @@ def ssn_solve(
 
     if not converged and best_res < res:
         res, lam, V = best_res, best_lam, best_V
-    v = TangentVector(_project(Xa, V), X)
-    return SubproblemResult(v, lam, res, iters, converged, history)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history)

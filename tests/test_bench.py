@@ -32,6 +32,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(**TINY, overrides={"bogus": 1.0})
 
+    def test_invalid_override_value_rejected(self):
+        # an out-of-range value fails at construction, not as a failed run per seed
+        with pytest.raises(ValueError, match="max_ssn"):
+            ExperimentSpec(**TINY, overrides={"max_ssn": 0})
+
 
 class TestConfigBuild:
     def test_mode_and_retraction_mapping(self):
@@ -176,11 +181,20 @@ class TestCli:
         assert "wrote 2 rows" in capsys.readouterr().out
 
     def test_bad_config_key_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1",
-                    "--seeds", "1", "--out", str(tmp_path / "x.csv"),
-                    "--config", "myfield=3",
-                ]
-            )
+        cases = [
+            ("myfield=3", "unknown config field 'myfield'"),
+            ("max_outer=1e3", "--config max_outer expects int, got '1e3'"),
+            ("sigma0=fast", "--config sigma0 expects float, got 'fast'"),
+            ("max_ssn=0", "bench: max_ssn must be >= 1, got 0"),
+        ]
+        for item, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1",
+                        "--seeds", "1", "--out", str(tmp_path / "x.csv"),
+                        "--config", item,
+                    ]
+                )
+            assert exc.value.code == message
+        assert not (tmp_path / "x.csv").exists()

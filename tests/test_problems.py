@@ -4,13 +4,11 @@ import pytest
 from stiefelprox import (
     RetractionKind,
     TangentVector,
-    load_matrix_csv,
     make_cm,
     make_problem,
     make_spca,
     random_point,
     retract,
-    save_matrix_csv,
     sparsity,
 )
 from stiefelprox.problems import schrodinger_operator
@@ -182,26 +180,3 @@ def test_objective_invariant_under_zero_retraction():
         Z = retract(X, TangentVector(np.zeros((16, 2)), X), kind)
         assert prob.eval_f(Z.data) == prob.eval_f(X.data)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        M = np.random.default_rng(0).standard_normal((4, 3))
-        path = tmp_path / "mat.csv"
-        save_matrix_csv(M, path, seed=42)
-        header = path.read_text().splitlines()[0]
-        assert header == "# 4 3 42"
-        back, seed = load_matrix_csv(path)
-        assert seed == 42
-        np.testing.assert_array_equal(back, M)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n")
-        with pytest.raises(ValueError):
-            load_matrix_csv(path)
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "short.csv"
-        path.write_text("# 3 2 0\n1.0,2.0\n3.0,4.0\n")
-        with pytest.raises(ValueError):
-            load_matrix_csv(path)

@@ -184,19 +184,16 @@ class TestUpdateSigma:
 class TestPgMetric:
     def test_cm_metric_is_twice_operator_norm(self):
         prob = make_cm(32, 2, 0.1)
-        metric = pg_baseline_metric(prob)
+        metric = pg_baseline_metric(prob, 32)
+        assert metric.d.shape == (32,)
         dx = 50.0 / 32
         np.testing.assert_allclose(metric.d, 4.0 / dx**2, rtol=5e-2)
         assert metric.sigma == 0.0
 
     def test_flat_objective_floors(self):
         prob = make_spca(10, 1, 1.0, data=np.zeros((50, 10)))
-        metric = pg_baseline_metric(prob)
+        metric = pg_baseline_metric(prob, 10)
         np.testing.assert_array_equal(metric.d, 1e-3)
-
-    def test_explicit_n_overrides_descriptor(self):
-        prob = make_cm(16, 2, 0.1)
-        assert pg_baseline_metric(prob, 7).d.shape == (7,)
 
 
 class TestSolve:

@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stiefelprox import (
-    DiagonalMetric,
-    jacobian_apply,
-    prox_l1_weighted,
-    random_point,
-    residual_E,
-    ssn_solve,
-    v_of_lambda,
-)
+from stiefelprox import DiagonalMetric, random_point, ssn_solve
 from stiefelprox.metric import metric_norm_sq
-from stiefelprox.subproblem import _DIRECT_MAX_R, _direct_step, _newton_matrix, _row_outer
+from stiefelprox.subproblem import (
+    _DIRECT_MAX_R,
+    _direct_step,
+    _fields,
+    _jacobian,
+    _newton_matrix,
+    _row_outer,
+)
 from oracles import kkt_direction, splitting_direction, subproblem_value
 
 # Newton steps are solved directly at the first shape and by CG at the second
 ORACLE_SHAPES = [(6, 2), (_DIRECT_MAX_R + 4, _DIRECT_MAX_R + 1)]
+
+# fixed examples, so the suite draws the same instances on every run
+PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+# both Newton paths: direct up to _DIRECT_MAX_R, CG one above it
+SUBPROBLEM_R = st.integers(1, _DIRECT_MAX_R + 1)
+MU = st.floats(0.0, 2.0)
+SIGMA = st.floats(0.0, 1.0)
+SEED = st.integers(0, 2**32 - 1)
 
 
 def make_instance(n, r, seed, sigma=0.0, grad_scale=2.0):
@@ -26,45 +35,76 @@ def make_instance(n, r, seed, sigma=0.0, grad_scale=2.0):
     return X, G, DiagonalMetric(d, sigma)
 
 
+def dual_map(X, G, metric, mu, lam):
+    """(P, V, E, active) of the dual at lam, from the kernel arguments ssn_solve builds."""
+    w = metric.weights()
+    scale = (2.0 / w)[:, None]
+    thresh = (mu / w)[:, None]
+    P, V, E = _fields(X.data, X.data - G / w[:, None], scale, thresh, lam)
+    return P, V, E, (np.abs(P) > thresh) * scale
+
+
+def prox(P, w, mu):
+    """Row-weighted soft thresholding through _fields: X = 0 and L = 0 leave P as is."""
+    n, r = P.shape
+    _, V, _ = _fields(np.zeros((n, r)), P, (2.0 / w)[:, None], (mu / w)[:, None], np.zeros((r, r)))
+    return V
+
+
+def assert_prox_optimal(Y, P, w, mu, tol):
+    """Subgradient conditions of Y = argmin mu ||Y||_1 + 1/2 tr((Y-P)^T diag(w) (Y-P)):
+    w (y - p) + mu sign(y) = 0 on the support, |w p| <= mu off the support."""
+    on = Y != 0
+    resid = w[:, None] * (Y - P) + mu * np.sign(Y)
+    assert np.all(np.abs(resid[on]) <= tol)
+    assert np.all(np.abs((w[:, None] * P)[~on]) <= mu + tol)
+
+
+def random_sym(rng, r):
+    A = rng.standard_normal((r, r))
+    return A + A.T
+
+
 class TestProx:
     def test_mu_zero_is_identity(self):
         P = np.random.default_rng(0).standard_normal((4, 2))
-        np.testing.assert_array_equal(prox_l1_weighted(P, np.ones(4), 0.0), P)
+        np.testing.assert_array_equal(prox(P, np.ones(4), 0.0), P)
+        # with a real base point too: V = P - X exactly, no mu = 0 branch needed
+        X, G, metric = make_instance(5, 2, 3)
+        P, V, _, _ = dual_map(X, G, metric, 0.0, random_sym(np.random.default_rng(1), 2))
+        np.testing.assert_array_equal(V, P - X.data)
 
     def test_scalar_hand_case(self):
         # weight 2, mu 1: threshold 0.5, so 1.2 shrinks to 0.7
-        out = prox_l1_weighted(np.array([[1.2]]), np.array([2.0]), 1.0)
+        out = prox(np.array([[1.2]]), np.array([2.0]), 1.0)
         assert out[0, 0] == pytest.approx(0.7)
 
     def test_full_shrinkage(self):
         P = 0.1 * np.random.default_rng(1).standard_normal((5, 2))
-        out = prox_l1_weighted(P, np.ones(5), 10.0)
+        out = prox(P, np.ones(5), 10.0)
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            prox_l1_weighted(np.ones((3, 1)), np.array([1.0, 0.0, 2.0]), 0.5)
-        with pytest.raises(ValueError):
-            prox_l1_weighted(np.ones((3, 1)), np.ones(3), -1.0)
-
     def test_subgradient_optimality(self):
-        # exact minimizer: w (y - p) + mu sign(y) = 0 on the support,
-        # |w p| <= mu off the support
         rng = np.random.default_rng(2)
         P = rng.standard_normal((6, 3))
         w = np.abs(rng.standard_normal(6)) + 0.2
         mu = 0.4
-        Y = prox_l1_weighted(P, w, mu)
-        on = Y != 0
-        resid = w[:, None] * (Y - P) + mu * np.sign(Y)
-        assert np.all(np.abs(resid[on]) <= 1e-12)
-        assert np.all(np.abs((w[:, None] * P)[~on]) <= mu + 1e-12)
+        assert_prox_optimal(prox(P, w, mu), P, w, mu, 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(r=SUBPROBLEM_R, n_extra=st.integers(0, 8), mu=MU, sigma=SIGMA, seed=SEED)
+    def test_prox_optimality_of_v_plus_x(self, r, n_extra, mu, sigma, seed):
+        # V(L) + X minimizes the separable prox problem at P(L), any X, w, mu, L
+        X, G, metric = make_instance(r + n_extra, r, seed, sigma=sigma)
+        P, V, _, _ = dual_map(X, G, metric, mu, random_sym(np.random.default_rng(seed), r))
+        w = metric.weights()
+        assert_prox_optimal(V + X.data, P, w, mu, 1e-12 * max(1.0, np.max(w * np.abs(P).max(axis=1))))
 
 
 class TestVofLambda:
     def test_smooth_unconstrained_case(self):
         X, G, metric = make_instance(5, 2, 3)
-        V = v_of_lambda(X, G, metric, 0.0, np.zeros((2, 2)))
+        _, V, _, _ = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))
         np.testing.assert_allclose(V, -G / metric.weights()[:, None], atol=1e-14)
 
     def test_minimizes_lagrangian_under_perturbations(self):
@@ -72,7 +112,7 @@ class TestVofLambda:
         mu = 0.3
         lam = np.array([[0.2]])
         w = metric.weights()
-        V = v_of_lambda(X, G, metric, mu, lam)
+        _, V, _, _ = dual_map(X, G, metric, mu, lam)
 
         def lagrangian(U):
             return (
@@ -93,8 +133,7 @@ class TestVofLambda:
         X, _, _ = make_instance(6, 3, 5)
         rng = np.random.default_rng(6)
         V = rng.standard_normal((6, 3))
-        lam = rng.standard_normal((3, 3))
-        lam = lam + lam.T
+        lam = random_sym(rng, 3)
         AV = V.T @ X.data + X.data.T @ V
         assert abs(np.sum(lam * AV) - np.sum((2.0 * X.data @ lam) * V)) <= 1e-12
 
@@ -102,7 +141,7 @@ class TestVofLambda:
 class TestResidual:
     def test_zero_at_trivial_stationary_point(self):
         X, _, metric = make_instance(5, 2, 7)
-        E = residual_E(X, np.zeros((5, 2)), metric, 0.0, np.zeros((2, 2)))
+        _, _, E, _ = dual_map(X, np.zeros((5, 2)), metric, 0.0, np.zeros((2, 2)))
         np.testing.assert_allclose(E, 0.0, atol=1e-14)
 
     def test_affine_in_lambda_for_identity_metric(self):
@@ -110,17 +149,15 @@ class TestResidual:
         X = random_point(6, 2, 8)
         G = np.random.default_rng(9).standard_normal((6, 2))
         metric = DiagonalMetric(np.ones(6), 0.0)
-        lam = np.random.default_rng(10).standard_normal((2, 2))
-        lam = lam + lam.T
-        E1 = residual_E(X, G, metric, 0.0, lam)
-        E0 = residual_E(X, G, metric, 0.0, np.zeros((2, 2)))
+        lam = random_sym(np.random.default_rng(10), 2)
+        E1 = dual_map(X, G, metric, 0.0, lam)[2]
+        E0 = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))[2]
         np.testing.assert_allclose(E1 - E0, 4.0 * lam, atol=1e-12)
 
     def test_exactly_symmetric(self):
         X, G, metric = make_instance(7, 3, 11)
-        lam = np.random.default_rng(12).standard_normal((3, 3))
-        lam = lam + lam.T
-        E = residual_E(X, G, metric, 0.5, lam)
+        lam = random_sym(np.random.default_rng(12), 3)
+        E = dual_map(X, G, metric, 0.5, lam)[2]
         np.testing.assert_array_equal(E, E.T)
 
 
@@ -129,35 +166,34 @@ class TestJacobian:
         X = random_point(6, 2, 13)
         G = np.random.default_rng(14).standard_normal((6, 2))
         metric = DiagonalMetric(np.ones(6), 0.0)
-        D = np.random.default_rng(15).standard_normal((2, 2))
-        D = D + D.T
-        out = jacobian_apply(X, G, metric, 0.0, np.zeros((2, 2)), D)
-        np.testing.assert_allclose(out, 4.0 * D, atol=1e-12)
+        D = random_sym(np.random.default_rng(15), 2)
+        active = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))[3]
+        np.testing.assert_allclose(_jacobian(X.data, active, 0.0, D), 4.0 * D, atol=1e-12)
+        # eta adds eta D on top
+        np.testing.assert_allclose(_jacobian(X.data, active, 0.5, D), 4.5 * D, atol=1e-12)
 
     def test_dead_mask_gives_zero(self):
         X, G, metric = make_instance(5, 2, 16)
-        D = np.eye(2)
-        out = jacobian_apply(X, G, metric, 1e6, np.zeros((2, 2)), D)
-        np.testing.assert_array_equal(out, 0.0)
+        active = dual_map(X, G, metric, 1e6, np.zeros((2, 2)))[3]
+        np.testing.assert_array_equal(_jacobian(X.data, active, 0.0, np.eye(2)), 0.0)
 
     def test_matches_directional_finite_difference(self):
+        # _jacobian is the derivative of the E returned by _fields
         rng = np.random.default_rng(17)
         checked = 0
         for seed in range(12):
             X, G, metric = make_instance(6, 2, 40 + seed)
             mu = 0.3
             w = metric.weights()
-            lam = rng.standard_normal((2, 2))
-            lam = lam + lam.T
+            lam = random_sym(rng, 2)
+            P, _, E, active = dual_map(X, G, metric, mu, lam)
             # kink guard: skip instances with |P| within 1e-4 of a threshold
-            P = X.data - (G - 2.0 * X.data @ lam) / w[:, None]
             if np.min(np.abs(np.abs(P) - (mu / w)[:, None])) < 1e-4:
                 continue
-            D = rng.standard_normal((2, 2))
-            D = D + D.T
+            D = random_sym(rng, 2)
             t = 1e-7
-            fd = (residual_E(X, G, metric, mu, lam + t * D) - residual_E(X, G, metric, mu, lam)) / t
-            out = jacobian_apply(X, G, metric, mu, lam, D)
+            fd = (dual_map(X, G, metric, mu, lam + t * D)[2] - E) / t
+            out = _jacobian(X.data, active, 0.0, D)
             assert np.linalg.norm(fd - out) <= 1e-6
             checked += 1
         assert checked >= 8
@@ -165,15 +201,12 @@ class TestJacobian:
     def test_self_adjoint_and_psd(self):
         rng = np.random.default_rng(18)
         X, G, metric = make_instance(7, 3, 19)
-        lam = rng.standard_normal((3, 3))
-        lam = lam + lam.T
+        active = dual_map(X, G, metric, 0.2, random_sym(rng, 3))[3]
         for _ in range(5):
-            D1 = rng.standard_normal((3, 3))
-            D1 = D1 + D1.T
-            D2 = rng.standard_normal((3, 3))
-            D2 = D2 + D2.T
-            j1 = jacobian_apply(X, G, metric, 0.2, lam, D1)
-            j2 = jacobian_apply(X, G, metric, 0.2, lam, D2)
+            D1 = random_sym(rng, 3)
+            D2 = random_sym(rng, 3)
+            j1 = _jacobian(X.data, active, 0.0, D1)
+            j2 = _jacobian(X.data, active, 0.0, D2)
             assert abs(np.sum(j1 * D2) - np.sum(D1 * j2)) <= 1e-10
             assert np.sum(j1 * D1) >= -1e-12
 
@@ -194,28 +227,20 @@ class TestNewtonMatrix:
     def test_matches_jacobian_apply(self, r, mu, mask):
         X, G, metric = make_instance(2 * r + 6, r, 30 + r, sigma=0.1)
         rng = np.random.default_rng(r)
-        lam = rng.standard_normal((r, r))
-        lam = lam + lam.T
-        w = metric.weights()
-        P = X.data - (G - 2.0 * X.data @ lam) / w[:, None]
-        J = np.abs(P) > (mu / w)[:, None]
+        _, _, _, active = dual_map(X, G, metric, mu, random_sym(rng, r))
+        J = active > 0
         assert {"mixed": 0 < J.mean() < 1, "dead": not J.any(), "active": J.all()}[mask]
-        active = J * (2.0 / w)[:, None]
         eta = 0.05
         H = _newton_matrix(_row_outer(X.data), active, eta)
         basis = symmetric_basis(r)
-        ref = np.array(
-            [[np.sum(Ba * (jacobian_apply(X, G, metric, mu, lam, Bb) + eta * Bb)) for Bb in basis] for Ba in basis]
-        )
+        ref = np.array([[np.sum(Ba * _jacobian(X.data, active, eta, Bb)) for Bb in basis] for Ba in basis])
         np.testing.assert_array_equal(H, H.T)
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the direct step solves (Jac + eta I) D = -E
-        E = rng.standard_normal((r, r))
-        E = E + E.T
+        E = random_sym(rng, r)
         D = _direct_step(_row_outer(X.data), active, eta, E)
         np.testing.assert_array_equal(D, D.T)
-        lhs = jacobian_apply(X, G, metric, mu, lam, D) + eta * D
-        assert np.linalg.norm(lhs + E) <= 1e-10 * np.linalg.norm(E)
+        assert np.linalg.norm(_jacobian(X.data, active, eta, D) + E) <= 1e-10 * np.linalg.norm(E)
 
 
 class TestSsnSolve:
@@ -257,6 +282,16 @@ class TestSsnSolve:
         Xa, V = X.data, res.v.data
         assert np.linalg.norm(V.T @ Xa + Xa.T @ V) <= 1e-12 * max(1.0, np.linalg.norm(V))
 
+    @PROPERTY_SETTINGS
+    @given(r=SUBPROBLEM_R, n_extra=st.integers(0, 8), mu=MU, sigma=SIGMA, seed=SEED, max_iter=st.integers(1, 100))
+    def test_direction_is_tangent_for_any_instance(self, r, n_extra, mu, sigma, seed, max_iter):
+        # tangency holds to machine precision, also when the dual loop stops early
+        X, G, metric = make_instance(r + n_extra, r, seed, sigma=sigma)
+        lam0 = random_sym(np.random.default_rng(seed), r)
+        V = ssn_solve(X, G, metric, mu, lam0, max_iter=max_iter).v.data
+        Xa = X.data
+        assert np.linalg.norm(V.T @ Xa + Xa.T @ V) <= 1e-12 * max(1.0, np.linalg.norm(V))
+
     def test_decrease_guarantee(self):
         # phi(V) - phi(0) <= -1/2 ||V||_B^2 + tol ||V||
         for seed in range(5):
@@ -292,5 +327,7 @@ class TestSsnSolve:
             ssn_solve(X, G, metric, 0.1, max_iter=0)
         with pytest.raises(ValueError):
             ssn_solve(X, G, DiagonalMetric(np.zeros(5), 0.0), 0.1)
+        with pytest.raises(ValueError):
+            ssn_solve(X, G, DiagonalMetric(np.array([1.0, 0.0, 2.0, 1.0, 1.0]), 0.0), 0.5)
         with pytest.raises(ValueError):
             ssn_solve(X, G, metric, -0.1)
