@@ -84,6 +84,14 @@ class TestProx:
         out = prox(P, np.ones(5), 10.0)
         np.testing.assert_array_equal(out, 0.0)
 
+    def test_rejects_nonpositive_weights(self):
+        # the prox is only reached through ssn_solve, which checks its weights and mu
+        X, G, metric = make_instance(5, 2, 24)
+        with pytest.raises(ValueError):
+            ssn_solve(X, G, DiagonalMetric(np.array([1.0, 0.0, 2.0, 1.0, 1.0]), 0.0), 0.5)
+        with pytest.raises(ValueError):
+            ssn_solve(X, G, metric, -0.1)
+
     def test_subgradient_optimality(self):
         rng = np.random.default_rng(2)
         P = rng.standard_normal((6, 3))
@@ -327,7 +335,3 @@ class TestSsnSolve:
             ssn_solve(X, G, metric, 0.1, max_iter=0)
         with pytest.raises(ValueError):
             ssn_solve(X, G, DiagonalMetric(np.zeros(5), 0.0), 0.1)
-        with pytest.raises(ValueError):
-            ssn_solve(X, G, DiagonalMetric(np.array([1.0, 0.0, 2.0, 1.0, 1.0]), 0.0), 0.5)
-        with pytest.raises(ValueError):
-            ssn_solve(X, G, metric, -0.1)
