@@ -69,12 +69,19 @@ def theta_init(s_prev: np.ndarray, y_prev: np.ndarray, theta_floor: float) -> fl
 
 @dataclass
 class LbfgsMemory:
-    """Bounded history of damped curvature pairs plus the current theta scale."""
+    """Bounded history of damped curvature pairs plus the current theta scale.
+
+    Also owns the n x 2qr workspace that build_diag fills, reallocated only
+    when its shape changes, so the per-iteration rebuild allocates no buffer.
+    """
 
     capacity: int = 5
     theta_floor: float = 1e-3
     theta: float = 1.0
     pairs: list[CurvaturePair] = field(default_factory=list)
+    _work: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0)), init=False, repr=False, compare=False
+    )
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         """Store a new raw pair: refresh theta, damp, append, trim to capacity.
@@ -89,34 +96,58 @@ class LbfgsMemory:
         if len(self.pairs) > self.capacity:
             del self.pairs[: len(self.pairs) - self.capacity]
 
+    def workspace(self, n: int, cols: int) -> np.ndarray:
+        """The n x cols scratch buffer, reused while its shape stays the same."""
+        if self._work.shape != (n, cols):
+            self._work = np.empty((n, cols))
+        return self._work
+
 
 def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     """diag(B) after applying every stored pair to B_0 = theta * I, matrix-free.
 
-    The recursion B <- B - (B s)(B s)^T / tr(s^T B s) + y y^T / tr(s^T y) is
-    tracked through the n x r products U_j = B s_j for the pairs still to be
-    applied; the diagonal picks up row-wise squared norms. Cost O(n r^2 p^2);
-    the n x n matrix is never formed. Pairs with tr(s^T B s) <= 1e-12 ||s||^2
-    are skipped (degenerate curvature).
+    The recursion B <- B - (B s)(B s)^T / tr(s^T B s) + y y^T / tr(s^T y)
+    gives B_j = theta I + W_j diag(scale_j) W_j^T before pair j, where the
+    columns of W_j are [U_0, y_0, ..., U_{j-1}, y_{j-1}], U_k = B_k s_k, and
+    scale is -1/c_k on the U_k columns, 1/e_k on the y_k columns
+    (c_k = tr(s_k^T U_k), e_k = tr(s_k^T y_k)). It is evaluated left-looking
+    in the memory's n x 2qr workspace W: for each pair, with P = W[:, :2jr],
+
+        U_j = theta s_j + P diag(scale[:2jr]) P^T s_j,
+
+    then U_j and y_j fill the next 2r columns, and at the end
+    diag(B) = theta + (W o W) scale. Cost O(n r^2 q^2); the n x n matrix is
+    never formed. Pairs with c <= 1e-12 ||s||^2 are skipped (degenerate
+    curvature): their columns are zeroed and their scale is 0. The result is
+    a fresh array, never a view of the workspace.
     """
-    d = np.full(n, memory.theta, dtype=float)
+    theta = memory.theta
     pairs = memory.pairs
-    q = len(pairs)
-    if q == 0:
-        return d
-    U = [memory.theta * p.s for p in pairs]
-    for i in range(q):
-        s_i, y_i, e_i = pairs[i].s, pairs[i].y_damped, pairs[i].s_dot_y
-        Ui = U[i]
-        c_i = float(np.sum(s_i * Ui))
-        if c_i <= 1e-12 * float(np.sum(s_i * s_i)):
+    if not pairs:
+        return np.full(n, theta, dtype=float)
+    r = pairs[0].s.shape[1]
+    W = memory.workspace(n, 2 * r * len(pairs))
+    scale = np.zeros((W.shape[1], 1))
+    for j, pair in enumerate(pairs):
+        lo, mid, hi = 2 * j * r, (2 * j + 1) * r, (2 * j + 2) * r
+        s = pair.s
+        if j == 0:
+            U = theta * s
+        else:
+            P = W[:, :lo]
+            U = theta * s + P @ ((P.T @ s) * scale[:lo])
+        c = float(np.vdot(s, U))
+        if c <= 1e-12 * float(np.vdot(s, s)):
+            W[:, lo:hi] = 0.0
             continue
-        d += np.sum(y_i * y_i, axis=1) / e_i - np.sum(Ui * Ui, axis=1) / c_i
-        for j in range(i + 1, q):
-            s_j = pairs[j].s
-            U[j] = U[j] - Ui @ ((Ui.T @ s_j) / c_i) + y_i @ ((y_i.T @ s_j) / e_i)
+        W[:, lo:mid] = U
+        W[:, mid:hi] = pair.y_damped
+        scale[lo:mid] = -1.0 / c
+        scale[mid:hi] = 1.0 / pair.s_dot_y
+    # every column was written above, so W is squared in place
+    d = theta + np.square(W, out=W) @ scale[:, 0]
     # roundoff containment: diag of a positive definite matrix is positive
-    return np.maximum(d, 1e-12 * max(memory.theta, float(d.max(initial=0.0))))
+    return np.maximum(d, 1e-12 * max(theta, float(d.max(initial=0.0))))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ machinery) shares the same loop.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +43,11 @@ class Status(Enum):
     CONVERGED = "converged"
     MAX_ITER = "max_iter"
     STALLED = "stalled"
+    NONFINITE = "nonfinite"  # f or its gradient stopped being finite
+
+
+# SolverConfig fields that count iterations, passes or stored pairs
+_INT_FIELDS = ("window_m", "memory_p", "max_outer", "max_ssn", "max_inner_sigma")
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class SolverConfig:
     mode: Mode = Mode.NONMONOTONE
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.eta1 < self.eta2 < 1.0):
             raise ValueError(f"need 0 < eta1 < eta2 < 1, got ({self.eta1}, {self.eta2})")
         if not (0.0 < self.gamma1 < 1.0 < self.gamma2):
@@ -145,6 +155,7 @@ class LineSearchResult(NamedTuple):
     point: np.ndarray
     backtracks: int
     f_value: float
+    quad: float  # ||V||_metric^2, which the caller's model value reuses
 
 
 def line_search(
@@ -170,7 +181,7 @@ def line_search(
         Z = retr(X.data, alpha * V)
         F_trial = problem.objective(Z)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
-            return LineSearchResult(alpha, Z, backtracks, F_trial)
+            return LineSearchResult(alpha, Z, backtracks, F_trial, quad)
         alpha *= config.ls_gamma
         backtracks += 1
     return None
@@ -235,7 +246,9 @@ def solve(
     Stops when ||V||^2 <= tol_factor * n * r (stationarity of the subproblem
     direction), or at max_outer iterations, or with Status.STALLED when the
     sigma escalation loop exceeds max_inner_sigma passes (the best iterate so
-    far is returned). The trace holds one record per accepted iteration.
+    far is returned), or with Status.NONFINITE when F or the gradient at X0 or
+    at an accepted iterate is not finite (the last finite iterate is
+    returned). The trace holds one record per accepted iteration.
     """
     cfg = config if config is not None else SolverConfig()
     X = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
@@ -250,6 +263,8 @@ def solve(
 
     G = np.asarray(problem.eval_grad_f(X.data), dtype=float)
     F_cur = problem.objective(X.data)
+    if not (math.isfinite(F_cur) and np.isfinite(G).all()):
+        return SolveResult(X, [], Status.NONFINITE)
     F_hist: deque = deque([F_cur], maxlen=window_m + 1)
     lam_warm = np.zeros((r, r))
     trace: list[TraceRecord] = []
@@ -301,13 +316,13 @@ def solve(
                 sigma_k = cfg.gamma2 * sigma_k
                 continue
 
-            alpha, Z, backtracks, F_trial = ls
+            alpha, Z, backtracks, F_trial, quad = ls
             bt_total += backtracks
             trials_total += backtracks + 1
             phi_zero = mu * float(np.abs(X.data).sum())
             phi_step = (
                 alpha * float(np.sum(G * V))
-                + 0.5 * alpha * alpha * metric_norm_sq(metric, V)
+                + 0.5 * alpha * alpha * quad
                 + mu * float(np.abs(X.data + alpha * V).sum())
             )
             rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
@@ -324,6 +339,8 @@ def solve(
         sigma_next = sigma_k
         Z_pt = StiefelPoint(Z)
         G_new = np.asarray(problem.eval_grad_f(Z_pt.data), dtype=float)
+        if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
+            return SolveResult(X, trace, Status.NONFINITE, norm_v_sq)
         if not pg_mode:
             s = Z_pt.data - X.data
             y = _project(Z_pt.data, G_new) - _project(X.data, G)

@@ -37,6 +37,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="max_ssn"):
             ExperimentSpec(**TINY, overrides={"max_ssn": 0})
 
+    def test_non_integer_override_rejected(self):
+        # before SolverConfig checked types, this built a spec whose every run
+        # failed with a TypeError and whose row read F = nan
+        with pytest.raises(ValueError, match="window_m must be an integer"):
+            ExperimentSpec(**TINY, overrides={"window_m": 2.5})
+
 
 class TestConfigBuild:
     def test_mode_and_retraction_mapping(self):

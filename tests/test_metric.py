@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelprox import (
     CurvaturePair,
@@ -12,10 +14,33 @@ from stiefelprox import (
 )
 from oracles import dense_lbfgs_diag
 
+# fixed examples, so the suite draws the same instances on every run
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
 
 def rand_pair(n, r, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, r)), scale * rng.standard_normal((n, r))
+
+
+def insert_degenerate(mem, kind, at, rng):
+    """Put a pair that the recursion must skip into mem.pairs at index `at`.
+
+    "zero": a zero displacement, so tr(s^T B s) = 0 exactly. "annihilated":
+    a valid pair (v w^T, 0) that removes direction v from B, followed by a
+    pair (v w'^T, y) whose curvature tr(s^T B s) is zero up to roundoff.
+    """
+    n, r = mem.pairs[0].s.shape
+    y = rng.standard_normal((n, r))
+    if kind == "zero":
+        new = [CurvaturePair(np.zeros((n, r)), y, 1.0)]
+    else:
+        v = rng.standard_normal((n, 1))
+        new = [
+            CurvaturePair(v @ rng.standard_normal((1, r)), np.zeros((n, r)), 1.0),
+            CurvaturePair(v @ rng.standard_normal((1, r)), y, float(np.sum(y * y))),
+        ]
+    mem.pairs[at:at] = new
 
 
 class TestDampPair:
@@ -121,6 +146,59 @@ class TestBuildDiag:
         mem = LbfgsMemory(capacity=3, theta=0.5)
         mem.pairs.append(CurvaturePair(np.zeros((4, 1)), np.ones((4, 1)), 1.0))
         np.testing.assert_array_equal(build_diag(mem, 4), np.full(4, 0.5))
+
+    @PROPERTY_SETTINGS
+    @given(
+        r=st.integers(1, 6),
+        n_extra=st.integers(0, 10),
+        capacity=st.integers(1, 6),
+        pushes=st.integers(1, 8),
+        theta=st.floats(1e-3, 1e2),
+        degenerate=st.lists(st.sampled_from(["zero", "annihilated"]), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_recursion(self, r, n_extra, capacity, pushes, theta, degenerate, seed):
+        # any shape, memory length, theta and skipped pairs: the left-looking
+        # diagonal equals the dense n x n recursion's and stays positive
+        n = r + n_extra
+        rng = np.random.default_rng(seed)
+        mem = LbfgsMemory(capacity=capacity)
+        for _ in range(pushes):
+            mem.push(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
+        for kind in degenerate:
+            insert_degenerate(mem, kind, int(rng.integers(0, len(mem.pairs) + 1)), rng)
+        mem.theta = theta
+        d = build_diag(mem, n)
+        expected = dense_lbfgs_diag(mem.pairs, theta, n)
+        # the atol covers the positivity floor 1e-12 * max(theta, max d)
+        scale = max(theta, float(np.abs(expected).max()))
+        np.testing.assert_allclose(d, expected, rtol=1e-9, atol=1e-11 * scale)
+        assert np.all(d > 0)
+
+    def test_reused_memory_matches_dense_and_returns_fresh_arrays(self):
+        # one memory through warm-up, steady state and a change of n: every
+        # diagonal equals the oracle, the workspace is reallocated only when
+        # its shape changes, and no returned diagonal moves afterwards
+        rng = np.random.default_rng(13)
+        mem = LbfgsMemory(capacity=3)
+        returned = []
+        for n, r in [(9, 2), (9, 2), (14, 2), (6, 3)]:
+            mem.pairs.clear()
+            for _ in range(5):
+                mem.push(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
+                work = mem.workspace(n, 2 * r * len(mem.pairs))
+                d = build_diag(mem, n)
+                assert mem.workspace(n, 2 * r * len(mem.pairs)) is work
+                assert not np.shares_memory(d, work)
+                np.testing.assert_allclose(
+                    d, dense_lbfgs_diag(mem.pairs, mem.theta, n), atol=1e-10
+                )
+                returned.append((d, d.copy()))
+        steady = mem._work
+        build_diag(mem, 6)
+        assert mem._work is steady
+        for d, snapshot in returned:
+            np.testing.assert_array_equal(d, snapshot)
 
 
 class TestMemory:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from stiefelprox import (
     line_search,
     make_cm,
     make_spca,
+    metric_norm_sq,
     nonmonotone_reference,
     pg_baseline_metric,
     project_tangent,
@@ -59,6 +61,25 @@ class TestConfig:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_m", 2.5),
+            ("memory_p", 2.0),
+            ("max_outer", 10.5),
+            ("max_ssn", 3.7),
+            ("max_inner_sigma", 2.5),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # in range, but a float: the solver would fail mid-run with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = SolverConfig(window_m=np.int64(3), max_ssn=np.int32(7))
+        assert cfg.window_m == 3 and cfg.max_ssn == 7
 
 
 class TestNonmonotoneReference:
@@ -111,6 +132,8 @@ class TestLineSearch:
         assert out is not None
         assert out.alpha == pytest.approx(cfg.ls_gamma ** out.backtracks)
         assert feasibility_residual(out.point) <= 1e-10
+        # the metric norm the caller reuses for its model value
+        assert out.quad == metric_norm_sq(metric, v.data)
 
     def test_inflated_reference_never_backtracks_more(self):
         prob = make_cm(16, 2, 0.1)
@@ -299,6 +322,40 @@ class TestSolve:
         )
         res = solve(broken, random_point(16, 2, 0), SolverConfig(max_outer=50))
         assert res.status in (Status.STALLED, Status.MAX_ITER)
+
+    def test_nan_gradient_at_start_is_nonfinite(self):
+        base = make_cm(16, 2, 0.1)
+        broken = dataclasses.replace(base, eval_grad_f=lambda X: np.full_like(X, np.nan))
+        X0 = random_point(16, 2, 0)
+        res = solve(broken, X0)
+        assert res.status is Status.NONFINITE
+        assert res.trace == []
+        np.testing.assert_array_equal(res.point.data, X0.data)
+
+    def test_nan_objective_is_nonfinite(self):
+        base = make_cm(16, 2, 0.1)
+        broken = dataclasses.replace(base, eval_f=lambda X: math.nan)
+        res = solve(broken, random_point(16, 2, 0))
+        assert res.status is Status.NONFINITE
+        assert res.trace == []
+
+    def test_nan_gradient_mid_run_returns_last_finite_iterate(self):
+        # the gradient turns NaN at the fifth accepted iterate: the run stops
+        # there and hands back the fourth, with its trace
+        base = make_cm(16, 2, 0.1)
+        points = []
+
+        def grad(X):
+            points.append(X.copy())
+            G = np.asarray(base.eval_grad_f(X))
+            return G if len(points) <= 5 else np.full_like(G, np.nan)
+
+        res = solve(dataclasses.replace(base, eval_grad_f=grad), random_point(16, 2, 0))
+        assert res.status is Status.NONFINITE
+        assert len(res.trace) == 4
+        np.testing.assert_array_equal(res.point.data, points[4])
+        assert res.trace[-1].F == base.objective(res.point.data)
+        assert math.isfinite(res.final_norm_v_sq)
 
     def test_retraction_choice_is_used(self):
         prob = make_cm(32, 2, 0.1)
