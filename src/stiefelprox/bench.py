@@ -20,13 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .problems import make_problem, sparsity
-from .solver import Mode, SolverConfig, solve, write_trace_csv
+from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
 
 MODE_BY_NAME = {"arpqn": Mode.MONOTONE, "nls": Mode.NONMONOTONE, "pg": Mode.PROX_GRAD}
 RETRACTION_BY_NAME = {"svd": RetractionKind.SVD, "qr": RetractionKind.QR, "cayley": RetractionKind.CAYLEY}
 
-SUMMARY_CSV_HEADER = "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures"
+SUMMARY_CSV_HEADER = "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures,nonconverged"
 
 # SolverConfig fields that --config key=val may override
 _CONFIG_FIELD_TYPES = {
@@ -69,7 +69,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Seed-averaged results for one (problem point, mode, retraction) cell."""
+    """Seed-averaged results for one (problem point, mode, retraction) cell.
+
+    The averages are over the runs that returned. failures counts the runs
+    that raised, and error holds the first of their messages (not written to
+    the CSV); nonconverged counts the runs that returned a status other than
+    converged.
+    """
 
     label: str
     iterations: float
@@ -79,6 +85,8 @@ class SummaryRow:
     linesearch: float
     ssn_iters: float
     failures: int
+    nonconverged: int
+    error: str = ""
 
 
 def build_config(mode: str, retraction: str, overrides: dict) -> SolverConfig:
@@ -163,7 +171,16 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
             stats = [float(np.mean([o[key] for o in good])) for key in keys]
         else:
             stats = [0.0, float("nan"), float("nan"), 0.0, 0.0, 0.0]
-        rows.append(SummaryRow(label, *stats, failures=len(cell) - len(good)))
+        errors = [o["error"] for o in cell if not o["ok"]]
+        rows.append(
+            SummaryRow(
+                label,
+                *stats,
+                failures=len(errors),
+                nonconverged=sum(o["status"] != Status.CONVERGED.value for o in good),
+                error=errors[0] if errors else "",
+            )
+        )
     return rows
 
 
@@ -176,7 +193,8 @@ def emit_csv(rows: Sequence[SummaryRow], path) -> None:
         for row in rows:
             fh.write(
                 f"{row.label},{row.iterations:.6g},{row.F:.6g},{row.sparsity:.6g},"
-                f"{row.cpu_s:.6g},{row.linesearch:.6g},{row.ssn_iters:.6g},{row.failures}\n"
+                f"{row.cpu_s:.6g},{row.linesearch:.6g},{row.ssn_iters:.6g},{row.failures},"
+                f"{row.nonconverged}\n"
             )
 
 
@@ -232,7 +250,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rows = run_experiment(spec)
     emit_csv(rows, args.out)
     failed = sum(row.failures for row in rows)
-    print(f"wrote {len(rows)} rows to {args.out}" + (f" ({failed} failed runs)" if failed else ""))
+    nonconverged = sum(row.nonconverged for row in rows)
+    print(f"wrote {len(rows)} rows to {args.out} ({failed} failed runs, {nonconverged} not converged)")
+    for row in rows:
+        if row.failures:
+            print(f"  {row.label}: {row.failures} failed, first error: {row.error}")
     return 0
 
 

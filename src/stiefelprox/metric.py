@@ -38,18 +38,20 @@ def damp_pair(s: np.ndarray, y: np.ndarray, theta: float) -> CurvaturePair:
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    sts = float(np.sum(s * s))
+    sts = float(np.vdot(s, s))
     if sts == 0.0:
         raise ValueError("zero displacement: pair must be skipped")
+    return _damp(s, y, theta, sts, float(np.vdot(s, y)))
+
+
+def _damp(s: np.ndarray, y: np.ndarray, theta: float, sts: float, sty: float) -> CurvaturePair:
+    """damp_pair given tr(s^T s) > 0 and tr(s^T y)."""
     a = theta * sts
-    b = float(np.sum(s * y))
-    if b >= 0.25 * a:
-        beta = 1.0
-        y_bar = np.array(y, dtype=float)
-    else:
-        beta = 0.75 * a / (a - b)
-        y_bar = beta * y + (1.0 - beta) * theta * s
-    return CurvaturePair(np.array(s, dtype=float), y_bar, float(np.sum(s * y_bar)))
+    if sty >= 0.25 * a:
+        return CurvaturePair(np.array(s, dtype=float), np.array(y, dtype=float), sty)
+    beta = 0.75 * a / (a - sty)
+    y_bar = beta * y + (1.0 - beta) * theta * s
+    return CurvaturePair(np.array(s, dtype=float), y_bar, float(np.vdot(s, y_bar)))
 
 
 def theta_init(s_prev: np.ndarray, y_prev: np.ndarray, theta_floor: float) -> float:
@@ -60,11 +62,19 @@ def theta_init(s_prev: np.ndarray, y_prev: np.ndarray, theta_floor: float) -> fl
     tr(s^T y) <= 1e-12 ||s|| ||y||: a step orders of magnitude below the
     iterate's scale gives a quotient that overflows the metric.
     """
-    sy = float(np.sum(s_prev * y_prev))
-    yy = float(np.sum(y_prev * y_prev))
-    if sy <= 1e-12 * math.sqrt(float(np.sum(s_prev * s_prev)) * yy):
+    return _theta(
+        float(np.vdot(s_prev, s_prev)),
+        float(np.vdot(s_prev, y_prev)),
+        float(np.vdot(y_prev, y_prev)),
+        theta_floor,
+    )
+
+
+def _theta(sts: float, sty: float, yty: float, theta_floor: float) -> float:
+    """theta_init from the traces tr(s^T s), tr(s^T y) and tr(y^T y)."""
+    if sty <= 1e-12 * math.sqrt(sts * yty):
         return theta_floor
-    return max(yy / sy, theta_floor)
+    return max(yty / sty, theta_floor)
 
 
 @dataclass
@@ -89,10 +99,12 @@ class LbfgsMemory:
         Degenerate displacements (tr(s^T s) == 0) are skipped so a stalled
         step cannot poison the metric.
         """
-        if float(np.sum(s * s)) == 0.0:
+        sts = float(np.vdot(s, s))
+        if sts == 0.0:
             return
-        self.theta = theta_init(s, y, self.theta_floor)
-        self.pairs.append(damp_pair(s, y, self.theta))
+        sty = float(np.vdot(s, y))
+        self.theta = _theta(sts, sty, float(np.vdot(y, y)), self.theta_floor)
+        self.pairs.append(_damp(s, y, self.theta, sts, sty))
         if len(self.pairs) > self.capacity:
             del self.pairs[: len(self.pairs) - self.capacity]
 

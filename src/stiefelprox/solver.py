@@ -266,6 +266,7 @@ def solve(
     if not (math.isfinite(F_cur) and np.isfinite(G).all()):
         return SolveResult(X, [], Status.NONFINITE)
     F_hist: deque = deque([F_cur], maxlen=window_m + 1)
+    proj_G = None if pg_mode else _project(X.data, G)
     lam_warm = np.zeros((r, r))
     trace: list[TraceRecord] = []
     stationary_streak = 0
@@ -295,7 +296,7 @@ def solve(
             lam_warm = sub.lam
             ssn_total += sub.ssn_iters
             V = sub.v.data
-            norm_v_sq = float(np.sum(V * V))
+            norm_v_sq = float(np.vdot(V, V))
             if resolves == 1:
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
                 flat = F_recent[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
@@ -321,7 +322,7 @@ def solve(
             trials_total += backtracks + 1
             phi_zero = mu * float(np.abs(X.data).sum())
             phi_step = (
-                alpha * float(np.sum(G * V))
+                alpha * float(np.vdot(G, V))
                 + 0.5 * alpha * alpha * quad
                 + mu * float(np.abs(X.data + alpha * V).sum())
             )
@@ -342,9 +343,10 @@ def solve(
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
             return SolveResult(X, trace, Status.NONFINITE, norm_v_sq)
         if not pg_mode:
-            s = Z_pt.data - X.data
-            y = _project(Z_pt.data, G_new) - _project(X.data, G)
-            memory.push(s, y)
+            # the projected gradient at Z is the next iteration's one at X
+            proj_G_new = _project(Z_pt.data, G_new)
+            memory.push(Z_pt.data - X.data, proj_G_new - proj_G)
+            proj_G = proj_G_new
         record = TraceRecord(
             k=k,
             F=F_trial,

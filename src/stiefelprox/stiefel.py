@@ -1,8 +1,9 @@
 """Stiefel manifold geometry: feasibility, tangent projection, retractions.
 
 Points live on St(n, r) = {X in R^{n x r} : X^T X = I_r}; tangent vectors at X
-satisfy V^T X + X^T V = 0. Three retractions are provided (polar/SVD, QR with a
-fixed sign convention, Cayley via a low-rank Woodbury solve).
+satisfy V^T X + X^T V = 0. Three retractions are provided (polar, through the
+r x r Gram matrix; QR with a fixed sign convention; Cayley via a low-rank
+Woodbury solve).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numpy as np
 
 FEASIBILITY_TOL = 1e-10
 TANGENCY_TOL = 1e-8
+# Gram condition number above which the polar retraction takes one refinement step
+_GRAM_REFINE_COND = 1e2
 
 
 class RetractionKind(Enum):
@@ -115,7 +118,22 @@ def project_tangent(X: StiefelPoint, M: np.ndarray) -> TangentVector:
 
 
 def _retract_svd(X: np.ndarray, D: np.ndarray) -> np.ndarray:
-    return _polar_factor(X + D)
+    """Polar factor of A = X + D from the r x r Gram matrix, without an n x r SVD.
+
+    With A^T A = Q diag(lam) Q^T, the polar factor is A (A^T A)^{-1/2} =
+    A Q diag(lam^{-1/2}) Q^T. For tangent D, A^T A = I + D^T D, so lam >= 1.
+    Forming the Gram matrix squares the condition number of A: once
+    lam_max / lam_min exceeds _GRAM_REFINE_COND (only possible for
+    ||D||_2 > 9.9), the result is off orthonormality by ~1e-16 lam_max /
+    lam_min, and one Newton-Schulz step Z (3I - Z^T Z) / 2, which keeps the
+    polar factor of Z, restores it to roundoff.
+    """
+    A = X + D
+    lam, Q = np.linalg.eigh(A.T @ A)
+    Z = A @ ((Q / np.sqrt(lam)) @ Q.T)
+    if lam[-1] > _GRAM_REFINE_COND * lam[0]:
+        Z = 1.5 * Z - 0.5 * (Z @ (Z.T @ Z))
+    return Z
 
 
 def _retract_qr(X: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from one matmul. For r <= _DIRECT_MAX_R the system is assembled in
 orthonormal symmetric coordinates (diagonal entries, sqrt(2) x off-diagonal
 ones), where it is symmetric positive definite, and solved directly. For
 larger r assembling costs more than it saves, and the step comes from
-matrix-free conjugate gradients instead.
+matrix-free conjugate gradients instead, preconditioned by the exact diagonal
+of the system in those coordinates, which costs one r x n x r product.
 """
 
 from __future__ import annotations
@@ -98,29 +99,53 @@ class SubproblemResult:
     residual_history: list[float]
 
 
-def _cg_symmetric(apply_op, rhs: np.ndarray, rel_tol: float, max_iter: int) -> np.ndarray:
-    """Conjugate gradients for a self-adjoint PD operator on symmetric matrices."""
+def _cg_symmetric(
+    apply_op, rhs: np.ndarray, diag: np.ndarray, rel_tol: float, max_iter: int
+) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients on symmetric matrices.
+
+    apply_op is self-adjoint and positive definite on symmetric matrices, and
+    diag (symmetric, positive) holds its diagonal in the orthonormal basis
+    E_kk, (E_kl + E_lk)/sqrt(2) at entries (k, k) and (k, l); the
+    preconditioner divides entrywise by it. Stops once the unpreconditioned
+    residual satisfies ||rhs - apply_op(x)|| <= rel_tol ||rhs||, after
+    max_iter iterations, or when the curvature <p, apply_op(p)> is not
+    positive.
+    """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     b_norm = math.sqrt(np.vdot(rhs, rhs))
     if b_norm == 0.0:
         return x
-    p = r.copy()
-    rs = np.vdot(r, r)
+    z = r / diag
+    p = z.copy()
+    rz = np.vdot(r, z)
     for _ in range(max_iter):
-        if math.sqrt(rs) <= rel_tol * b_norm:
+        if math.sqrt(np.vdot(r, r)) <= rel_tol * b_norm:
             break
         Ap = apply_op(p)
         pAp = np.vdot(p, Ap)
         if pAp <= 0.0:
             break
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = np.vdot(r, r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r / diag
+        rz_new = np.vdot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x
+
+
+def _jacobi_diag(X2: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
+    """Diagonal of D -> _jacobian(X, active, eta, D) in the orthonormal symmetric basis.
+
+    X2 = X o X. With Q = (X o X)^T active, Q[k, l] = K_l[k, k], and the
+    diagonal entry of the basis matrix at (k, l) is Q[k, l] + Q[l, k] + eta
+    (2 K_k[k, k] + eta on the diagonal). It is >= eta > 0.
+    """
+    Q = X2.T @ active
+    return Q + Q.T + eta
 
 
 class _NewtonPlan(NamedTuple):
@@ -213,9 +238,11 @@ def ssn_solve(
 
     Each step solves (Jac + eta I) dL = -E (eta ~ 0.2 ||E||^{1/2}), exactly
     through the assembled r(r+1)/2 x r(r+1)/2 matrix for r <= _DIRECT_MAX_R,
-    and otherwise inexactly by CG (relative tolerance min(0.1, ||E||), at most
-    r(r+1)/2 iterations). It accepts the trial, halving it if
-    needed, once it shrinks the residual by a fixed factor. Otherwise the
+    and otherwise inexactly by Jacobi-preconditioned CG (unpreconditioned
+    residual below min(0.1, ||E||) ||E||, at most r(r+1)/2 iterations; X o X
+    is formed once per call and the diagonal once per step). It accepts the
+    trial, halving it if needed, once it shrinks the residual by a fixed
+    factor. Otherwise the
     full trial is recycled into a hyperplane-projection step
     L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
     solution set of the monotone equation even when the Jacobian element is
@@ -246,7 +273,9 @@ def ssn_solve(
     iters = 0
     converged = res <= tol
     direct = r <= _DIRECT_MAX_R
-    XX = _row_outer(Xa) if direct and not converged else None
+    # formed once per call: the row outer products of X for the assembled
+    # matrix, or X o X for the Jacobi diagonal of CG
+    XX = None if converged else _row_outer(Xa) if direct else Xa * Xa
     cg_cap = max(1, r * (r + 1) // 2)
 
     while not converged and iters < max_iter:
@@ -257,7 +286,8 @@ def ssn_solve(
             step = _direct_step(XX, active, eta, E)
         else:
             newton_op = functools.partial(_jacobian, Xa, active, eta)
-            step = _cg_symmetric(newton_op, -E, rel_tol=min(0.1, res), max_iter=cg_cap)
+            diag = _jacobi_diag(XX, active, eta)
+            step = _cg_symmetric(newton_op, -E, diag, rel_tol=min(0.1, res), max_iter=cg_cap)
         u = _sym(lam + step)
         Pu, Vu, Eu = fields(u)
         res_u = float(np.linalg.norm(Eu))

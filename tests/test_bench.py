@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stiefelprox.bench as bench
 from stiefelprox import ExperimentSpec, SummaryRow, emit_csv, run_experiment
 from stiefelprox.bench import build_config, main, run_label
-from stiefelprox.solver import Mode, TRACE_CSV_HEADER
+from stiefelprox.solver import Mode, Status, TRACE_CSV_HEADER
 from stiefelprox.stiefel import RetractionKind
 
 TINY = dict(problem="cm", n_values=(16,), r_values=(2,), mu_values=(0.1,), seeds=2)
@@ -99,7 +101,23 @@ class TestRunExperiment:
         rows = run_experiment(ExperimentSpec(**TINY))
         assert len(rows) == 1
         assert rows[0].failures == 1
+        assert rows[0].error == "RuntimeError: injected"
+        assert rows[0].nonconverged == 0
         assert np.isfinite(rows[0].F)
+
+    def test_nonconverged_runs_counted(self, monkeypatch):
+        # a run that returns STALLED is not a failure, but it is not a success either
+        calls = {"n": 0}
+        real_solve = bench.solve
+
+        def stalls_once(problem, X0, config):
+            calls["n"] += 1
+            result = real_solve(problem, X0, config)
+            return dataclasses.replace(result, status=Status.STALLED) if calls["n"] == 1 else result
+
+        monkeypatch.setattr(bench, "solve", stalls_once)
+        rows = run_experiment(ExperimentSpec(**TINY))
+        assert (rows[0].failures, rows[0].nonconverged, rows[0].error) == (0, 1, "")
 
     def test_traces_written(self, tmp_path):
         spec = ExperimentSpec(**TINY, trace_dir=str(tmp_path / "tr"))
@@ -133,6 +151,7 @@ class TestEmitCsv:
             linesearch=120.0,
             ssn_iters=1.57,
             failures=0,
+            nonconverged=0,
         )
         base.update(kw)
         return SummaryRow(**base)
@@ -141,7 +160,7 @@ class TestEmitCsv:
         path = tmp_path / "out.csv"
         emit_csv([self.row()], path)
         lines = path.read_bytes().decode("utf-8").split("\n")
-        assert lines[0] == "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures"
+        assert lines[0] == "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures,nonconverged"
         assert lines[1].split(",")[2] == "1.42531"
 
     def test_newlines_are_bare_lf(self, tmp_path):
@@ -157,12 +176,12 @@ class TestEmitCsv:
 
     def test_round_trips_through_parse(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([self.row()], path)
+        emit_csv([self.row(failures=1, nonconverged=2, error="RuntimeError: x")], path)
         header, line = path.read_text().splitlines()
         fields = line.split(",")
         assert len(fields) == len(header.split(","))
         assert float(fields[1]) == 110.0
-        assert int(fields[7]) == 0
+        assert (int(fields[7]), int(fields[8])) == (1, 2)
 
 
 class TestCli:
@@ -184,7 +203,22 @@ class TestCli:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + 2 modes
-        assert "wrote 2 rows" in capsys.readouterr().out
+        assert f"wrote 2 rows to {out} (0 failed runs, 0 not converged)" in capsys.readouterr().out
+
+    def test_prints_first_error_of_each_failing_cell(self, tmp_path, capsys, monkeypatch):
+        def broken(problem, X0, config):
+            raise RuntimeError(f"injected in {config.mode.value}")
+
+        monkeypatch.setattr(bench, "solve", broken)
+        out = tmp_path / "summary.csv"
+        args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--mode", "nls", "pg"]
+        assert main(args + ["--seeds", "2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"wrote 2 rows to {out} (4 failed runs, 0 not converged)",
+            "  cm_n16_r2_mu0.1_nls_svd: 2 failed, first error: RuntimeError: injected in nls",
+            "  cm_n16_r2_mu0.1_pg_svd: 2 failed, first error: RuntimeError: injected in pg",
+        ]
 
     def test_bad_config_key_exits(self, tmp_path):
         cases = [

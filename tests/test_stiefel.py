@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelprox import (
     RetractionKind,
@@ -10,7 +12,13 @@ from stiefelprox import (
     random_point,
     retract,
 )
+from stiefelprox.stiefel import _RETRACTIONS, _polar_factor
 from oracles import project_by_basis
+
+# fixed examples, so the suite draws the same instances on every run
+PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+# (n, r) with 1 <= r <= n <= 8
+SHAPE = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
 
 
 def rand_tangent(X, seed):
@@ -162,6 +170,38 @@ def test_retraction_feasible_for_large_steps(kind):
         big = TangentVector(scale * xi.data / np.linalg.norm(xi.data), X)
         Z = retract(X, big, kind)
         assert feasibility_residual(Z) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(shape=SHAPE, seed=st.integers(0, 2**32 - 1), log_norm=st.floats(-10.0, 3.0))
+def test_raw_retractions_feasible_for_any_tangent_step(shape, seed, log_norm):
+    # the solver's line search calls the raw retractions, so feasibility must
+    # hold before StiefelPoint's containment, for steps from 1e-10 to 1e3
+    n, r = shape
+    X = random_point(n, r, seed)
+    D = rand_tangent(X, seed).data
+    norm = np.linalg.norm(D)
+    # at n = r = 1 the tangent space is {0}
+    D = D * (10.0**log_norm / norm) if norm > 0 else D
+    for kind, retr in _RETRACTIONS.items():
+        Z = retr(X.data, D)
+        assert feasibility_residual(Z) <= 1e-10, kind
+    assert np.linalg.norm(_RETRACTIONS[RetractionKind.SVD](X.data, D) - _polar_factor(X.data + D)) <= 1e-12
+
+
+def test_polar_retraction_accurate_for_long_rank_deficient_steps():
+    # at n = r = 3, D = X Omega with Omega skew has a zero singular value, so
+    # the Gram matrix I + D^T D has condition number 1 + ||D||^2 / 2; without
+    # the refinement step these reach feasibility 1.2e-10 and differ from the
+    # SVD polar factor by up to 5.8e-11
+    for seed in range(5):
+        X = random_point(3, 3, seed).data
+        W = np.random.default_rng(seed).standard_normal((3, 3))
+        D = X @ (W - W.T)
+        D *= 1e3 / np.linalg.norm(D)
+        Z = _RETRACTIONS[RetractionKind.SVD](X, D)
+        assert feasibility_residual(Z) <= 1e-10
+        assert np.linalg.norm(Z - _polar_factor(X + D)) <= 1e-12
 
 
 def test_random_point_orthonormal():

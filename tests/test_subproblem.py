@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from stiefelprox import DiagonalMetric, random_point, ssn_solve
 from stiefelprox.metric import metric_norm_sq
 from stiefelprox.subproblem import (
     _DIRECT_MAX_R,
+    _cg_symmetric,
     _direct_step,
     _fields,
+    _jacobi_diag,
     _jacobian,
     _newton_matrix,
     _row_outer,
@@ -249,6 +253,31 @@ class TestNewtonMatrix:
         D = _direct_step(_row_outer(X.data), active, eta, E)
         np.testing.assert_array_equal(D, D.T)
         assert np.linalg.norm(_jacobian(X.data, active, eta, D) + E) <= 1e-10 * np.linalg.norm(E)
+
+
+class TestJacobiCg:
+    @pytest.mark.parametrize("r", [1, 2, 5, _DIRECT_MAX_R + 1])
+    @pytest.mark.parametrize("mu, mask", [(0.3, "mixed"), (1e6, "dead"), (0.0, "active")])
+    def test_diagonal_and_solve(self, r, mu, mask):
+        X, G, metric = make_instance(2 * r + 6, r, 50 + r, sigma=0.1)
+        rng = np.random.default_rng(r)
+        _, _, _, active = dual_map(X, G, metric, mu, random_sym(rng, r))
+        J = active > 0
+        assert {"mixed": 0 < J.mean() < 1, "dead": not J.any(), "active": J.all()}[mask]
+        eta = 0.05
+        diag = _jacobi_diag(X.data * X.data, active, eta)
+        np.testing.assert_array_equal(diag, diag.T)
+        # entry (k, l) is the diagonal of the Newton matrix at basis matrix (k, l)
+        ref = np.array([np.sum(B * _jacobian(X.data, active, eta, B)) for B in symmetric_basis(r)])
+        assert np.max(np.abs(diag[np.triu_indices(r)] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if mask == "dead":
+            np.testing.assert_array_equal(diag, eta)
+        # the preconditioned CG solves (Jac + eta I) D = -E to its tolerance
+        E = random_sym(rng, r)
+        newton_op = functools.partial(_jacobian, X.data, active, eta)
+        D = _cg_symmetric(newton_op, -E, diag, rel_tol=1e-10, max_iter=10 * r * (r + 1))
+        np.testing.assert_array_equal(D, D.T)
+        assert np.linalg.norm(newton_op(D) + E) <= 1e-10 * np.linalg.norm(E)
 
 
 class TestSsnSolve:
