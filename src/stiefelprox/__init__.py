@@ -15,15 +15,7 @@ from .stiefel import (
     random_point,
     retract,
 )
-from .metric import (
-    CurvaturePair,
-    DiagonalMetric,
-    LbfgsMemory,
-    build_diag,
-    damp_pair,
-    metric_norm_sq,
-    theta_init,
-)
+from .metric import DiagonalMetric, LbfgsMemory, build_diag, metric_norm_sq
 from .subproblem import SubproblemResult, ssn_solve
 from .solver import (
     Mode,
@@ -31,12 +23,9 @@ from .solver import (
     SolverConfig,
     Status,
     TraceRecord,
-    compute_rho,
     line_search,
     nonmonotone_reference,
-    pg_baseline_metric,
     solve,
-    update_sigma,
     write_trace_csv,
 )
 from .problems import (
@@ -52,12 +41,10 @@ from .bench import ExperimentSpec, SummaryRow, emit_csv, run_experiment
 __all__ = [
     "RetractionKind", "StiefelPoint", "TangentVector", "feasibility_residual",
     "project_tangent", "random_point", "retract",
-    "CurvaturePair", "DiagonalMetric", "LbfgsMemory", "build_diag",
-    "damp_pair", "metric_norm_sq", "theta_init",
+    "DiagonalMetric", "LbfgsMemory", "build_diag", "metric_norm_sq",
     "SubproblemResult", "ssn_solve",
     "Mode", "SolveResult", "SolverConfig", "Status", "TraceRecord",
-    "compute_rho", "line_search", "nonmonotone_reference",
-    "pg_baseline_metric", "solve", "update_sigma", "write_trace_csv",
+    "line_search", "nonmonotone_reference", "solve", "write_trace_csv",
     "CompositeProblem", "make_cm", "make_problem",
     "make_spca", "schrodinger_operator", "sparsity",
     "ExperimentSpec", "SummaryRow", "emit_csv", "run_experiment",

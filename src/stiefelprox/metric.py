@@ -9,6 +9,7 @@ metric is diag(B) + sigma * I.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,56 +28,6 @@ class CurvaturePair:
     s_dot_y: float
 
 
-def damp_pair(s: np.ndarray, y: np.ndarray, theta: float) -> CurvaturePair:
-    """Blend y toward theta*s until the curvature tr(s^T y_bar) is safely positive.
-
-    With a = theta * tr(s^T s) and b = tr(s^T y):
-        beta = 1                      if b >= 0.25 * a,
-        beta = 0.75 * a / (a - b)     otherwise,
-    and y_bar = beta * y + (1 - beta) * theta * s. In the damped branch
-    tr(s^T y_bar) = 0.25 * a exactly.
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    sts = float(np.vdot(s, s))
-    if sts == 0.0:
-        raise ValueError("zero displacement: pair must be skipped")
-    return _damp(s, y, theta, sts, float(np.vdot(s, y)))
-
-
-def _damp(s: np.ndarray, y: np.ndarray, theta: float, sts: float, sty: float) -> CurvaturePair:
-    """damp_pair given tr(s^T s) > 0 and tr(s^T y)."""
-    a = theta * sts
-    if sty >= 0.25 * a:
-        return CurvaturePair(np.array(s, dtype=float), np.array(y, dtype=float), sty)
-    beta = 0.75 * a / (a - sty)
-    y_bar = beta * y + (1.0 - beta) * theta * s
-    return CurvaturePair(np.array(s, dtype=float), y_bar, float(np.vdot(s, y_bar)))
-
-
-def theta_init(s_prev: np.ndarray, y_prev: np.ndarray, theta_floor: float) -> float:
-    """Scale for the initial operator B_0 = theta * I from the latest raw pair.
-
-    theta = max(tr(y^T y) / tr(s^T y), theta_floor). Nonpositive curvature
-    falls back to the floor, and so does curvature at roundoff level,
-    tr(s^T y) <= 1e-12 ||s|| ||y||: a step orders of magnitude below the
-    iterate's scale gives a quotient that overflows the metric.
-    """
-    return _theta(
-        float(np.vdot(s_prev, s_prev)),
-        float(np.vdot(s_prev, y_prev)),
-        float(np.vdot(y_prev, y_prev)),
-        theta_floor,
-    )
-
-
-def _theta(sts: float, sty: float, yty: float, theta_floor: float) -> float:
-    """theta_init from the traces tr(s^T s), tr(s^T y) and tr(y^T y)."""
-    if sty <= 1e-12 * math.sqrt(sts * yty):
-        return theta_floor
-    return max(yty / sty, theta_floor)
-
-
 @dataclass
 class LbfgsMemory:
     """Bounded history of damped curvature pairs plus the current theta scale.
@@ -93,8 +44,28 @@ class LbfgsMemory:
         default_factory=lambda: np.empty((0, 0)), init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        capacity = self.capacity
+        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
+        if not (0.0 < self.theta_floor < math.inf):
+            raise ValueError(f"theta_floor must be positive and finite, got {self.theta_floor!r}")
+
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         """Store a new raw pair: refresh theta, damp, append, trim to capacity.
+
+        The scale of the initial operator B_0 = theta * I comes from this raw
+        pair: theta = max(tr(y^T y) / tr(s^T y), theta_floor). Nonpositive
+        curvature falls back to the floor, and so does curvature at roundoff
+        level, tr(s^T y) <= 1e-12 ||s|| ||y||: a step orders of magnitude below
+        the iterate's scale gives a quotient that overflows the metric.
+
+        Damping then blends y toward theta*s until the curvature tr(s^T y_bar)
+        is safely positive. With a = theta * tr(s^T s) and b = tr(s^T y):
+            beta = 1                      if b >= 0.25 * a,
+            beta = 0.75 * a / (a - b)     otherwise,
+        and y_bar = beta * y + (1 - beta) * theta * s. In the damped branch
+        tr(s^T y_bar) = 0.25 * a exactly.
 
         Degenerate displacements (tr(s^T s) == 0) are skipped so a stalled
         step cannot poison the metric.
@@ -103,8 +74,19 @@ class LbfgsMemory:
         if sts == 0.0:
             return
         sty = float(np.vdot(s, y))
-        self.theta = _theta(sts, sty, float(np.vdot(y, y)), self.theta_floor)
-        self.pairs.append(_damp(s, y, self.theta, sts, sty))
+        yty = float(np.vdot(y, y))
+        if sty <= 1e-12 * math.sqrt(sts * yty):
+            self.theta = self.theta_floor
+        else:
+            self.theta = max(yty / sty, self.theta_floor)
+        a = self.theta * sts
+        if sty >= 0.25 * a:
+            pair = CurvaturePair(np.array(s, dtype=float), np.array(y, dtype=float), sty)
+        else:
+            beta = 0.75 * a / (a - sty)
+            y_bar = beta * y + (1.0 - beta) * self.theta * s
+            pair = CurvaturePair(np.array(s, dtype=float), y_bar, float(np.vdot(s, y_bar)))
+        self.pairs.append(pair)
         if len(self.pairs) > self.capacity:
             del self.pairs[: len(self.pairs) - self.capacity]
 

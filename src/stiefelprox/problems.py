@@ -82,6 +82,8 @@ def schrodinger_operator(n: int, boundary: str = "periodic") -> sp.csr_matrix:
 
 def make_cm(n: int, r: int, mu: float, boundary: str = "periodic") -> CompositeProblem:
     """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     _check_mu(mu)
     H = schrodinger_operator(n, boundary)
     L = 2.0 * _power_norm(lambda v: H @ v, n)
@@ -108,13 +110,18 @@ def make_spca(
     Generated columns are mean-centered and scaled to unit norm, the usual
     preprocessing for per-variable loadings; without it the objective scale
     grows with n and the l1 weight loses meaning. Passing data overrides the
-    generated matrix verbatim (e.g. zeros for the flat objective edge case).
+    generated matrix verbatim (e.g. zeros for the flat objective edge case);
+    it must be a finite 2-d array with n columns.
     """
-    if n < r:
-        raise ValueError(f"need n >= r, got n={n}, r={r}")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     _check_mu(mu)
     if data is not None:
         A = np.array(data, dtype=float)
+        if A.ndim != 2 or A.shape[1] != n:
+            raise ValueError(f"data must be a 2-d array with n={n} columns, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("data has non-finite entries")
     else:
         A = np.random.default_rng(seed).standard_normal((SPCA_SAMPLES, n))
         A -= A.mean(axis=0, keepdims=True)

@@ -23,13 +23,7 @@ import numpy as np
 
 from .metric import DiagonalMetric, LbfgsMemory, build_diag, metric_norm_sq
 from .problems import CompositeProblem
-from .stiefel import (
-    RetractionKind,
-    StiefelPoint,
-    TangentVector,
-    _RETRACTIONS,
-    _project,
-)
+from .stiefel import RetractionKind, StiefelPoint, TangentVector, project_tangent, retract
 from .subproblem import ssn_solve
 
 
@@ -48,6 +42,10 @@ class Status(Enum):
 
 # SolverConfig fields that count iterations, passes or stored pairs
 _INT_FIELDS = ("window_m", "memory_p", "max_outer", "max_ssn", "max_inner_sigma")
+# SolverConfig fields that hold a real parameter
+_FLOAT_FIELDS = (
+    "sigma0", "eta1", "eta2", "gamma1", "gamma2", "ls_sigma", "ls_gamma", "theta_floor", "tol_factor",
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,14 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+        if not isinstance(self.retraction, RetractionKind):
+            raise ValueError(f"retraction must be a RetractionKind, got {self.retraction!r}")
         if not (0.0 < self.eta1 < self.eta2 < 1.0):
             raise ValueError(f"need 0 < eta1 < eta2 < 1, got ({self.eta1}, {self.eta2})")
         if not (0.0 < self.gamma1 < 1.0 < self.gamma2):
@@ -152,7 +158,7 @@ def nonmonotone_reference(history: Sequence[float], m: int) -> float:
 
 class LineSearchResult(NamedTuple):
     alpha: float
-    point: np.ndarray
+    point: StiefelPoint
     backtracks: int
     f_value: float
     quad: float  # ||V||_metric^2, which the caller's model value reuses
@@ -170,16 +176,16 @@ def line_search(
 
         F(R_X(alpha V)) <= F_ref - 1/2 * ls_sigma * alpha * ||V||_metric^2.
 
-    Returns None when alpha underflows 1e-20 (signal to escalate sigma).
+    F is evaluated at the retracted point itself, so f_value is F at the
+    returned point. Returns None when alpha underflows 1e-20 (signal to
+    escalate sigma).
     """
-    V = v.data
-    quad = metric_norm_sq(metric, V)
-    retr = _RETRACTIONS[config.retraction]
+    quad = metric_norm_sq(metric, v.data)
     alpha = 1.0
     backtracks = 0
     while alpha >= 1e-20:
-        Z = retr(X.data, alpha * V)
-        F_trial = problem.objective(Z)
+        Z = retract(X, alpha * v, config.retraction)
+        F_trial = problem.objective(Z.data)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
             return LineSearchResult(alpha, Z, backtracks, F_trial, quad)
         alpha *= config.ls_gamma
@@ -266,7 +272,7 @@ def solve(
     if not (math.isfinite(F_cur) and np.isfinite(G).all()):
         return SolveResult(X, [], Status.NONFINITE)
     F_hist: deque = deque([F_cur], maxlen=window_m + 1)
-    proj_G = None if pg_mode else _project(X.data, G)
+    proj_G = None if pg_mode else project_tangent(X, G).data
     lam_warm = np.zeros((r, r))
     trace: list[TraceRecord] = []
     stationary_streak = 0
@@ -338,14 +344,13 @@ def solve(
                         return SolveResult(X, trace, Status.STALLED, norm_v_sq)
 
         sigma_next = sigma_k
-        Z_pt = StiefelPoint(Z)
-        G_new = np.asarray(problem.eval_grad_f(Z_pt.data), dtype=float)
+        G_new = np.asarray(problem.eval_grad_f(Z.data), dtype=float)
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
             return SolveResult(X, trace, Status.NONFINITE, norm_v_sq)
         if not pg_mode:
             # the projected gradient at Z is the next iteration's one at X
-            proj_G_new = _project(Z_pt.data, G_new)
-            memory.push(Z_pt.data - X.data, proj_G_new - proj_G)
+            proj_G_new = project_tangent(Z, G_new).data
+            memory.push(Z.data - X.data, proj_G_new - proj_G)
             proj_G = proj_G_new
         record = TraceRecord(
             k=k,
@@ -361,7 +366,7 @@ def solve(
             ls_trials=trials_total,
         )
         trace.append(record)
-        X, G, F_cur = Z_pt, G_new, F_trial
+        X, G, F_cur = Z, G_new, F_trial
         F_hist.append(F_cur)
         F_recent.append(F_cur)
         if callback is not None:

@@ -83,7 +83,10 @@ class StiefelPoint:
 
 
 class TangentVector:
-    """An n x r direction V with V^T X + X^T V = 0, attached to its base point."""
+    """An n x r direction V with V^T X + X^T V = 0, attached to its base point.
+
+    The constructor checks tangency; ``alpha * v`` is tangent without a re-check.
+    """
 
     __slots__ = ("data", "base")
 
@@ -101,6 +104,9 @@ class TangentVector:
         self.data = V
         self.base = base
 
+    def __rmul__(self, alpha: float) -> TangentVector:
+        return _tangent(float(alpha) * self.data, self.base)
+
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -109,12 +115,21 @@ class TangentVector:
         return f"TangentVector(shape={self.data.shape}, norm={self.norm:.3e})"
 
 
+def _tangent(V: np.ndarray, base: StiefelPoint) -> TangentVector:
+    """Wrap a fresh array that is tangent at base by construction, unchecked."""
+    v = TangentVector.__new__(TangentVector)
+    V.flags.writeable = False
+    v.data = V
+    v.base = base
+    return v
+
+
 def project_tangent(X: StiefelPoint, M: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X."""
     M = np.asarray(M, dtype=float)
     if M.shape != X.data.shape:
         raise ValueError(f"shape mismatch: {M.shape} vs {X.data.shape}")
-    return TangentVector(_project(X.data, M), X)
+    return _tangent(_project(X.data, M), X)
 
 
 def _retract_svd(X: np.ndarray, D: np.ndarray) -> np.ndarray:

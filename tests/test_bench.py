@@ -226,6 +226,7 @@ class TestCli:
             ("max_outer=1e3", "--config max_outer expects int, got '1e3'"),
             ("sigma0=fast", "--config sigma0 expects float, got 'fast'"),
             ("max_ssn=0", "bench: max_ssn must be >= 1, got 0"),
+            ("sigma0=nan", "bench: sigma0 must be a finite number, got nan"),
         ]
         for item, message in cases:
             with pytest.raises(SystemExit) as exc:

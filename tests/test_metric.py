@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelprox import (
-    CurvaturePair,
-    DiagonalMetric,
-    LbfgsMemory,
-    build_diag,
-    damp_pair,
-    metric_norm_sq,
-    theta_init,
-)
+from stiefelprox import DiagonalMetric, LbfgsMemory, build_diag, metric_norm_sq
+from stiefelprox.metric import CurvaturePair
 from oracles import dense_lbfgs_diag
 
 # fixed examples, so the suite draws the same instances on every run
@@ -43,63 +36,82 @@ def insert_degenerate(mem, kind, at, rng):
     mem.pairs[at:at] = new
 
 
+def pushed(s, y, theta_floor=1e-3):
+    """A fresh memory after one push of the raw pair (s, y)."""
+    mem = LbfgsMemory(capacity=5, theta_floor=theta_floor)
+    mem.push(s, y)
+    return mem
+
+
 class TestDampPair:
+    # damping as LbfgsMemory.push applies it, with theta refreshed from the pair
+
     def test_inactive_branch_keeps_y(self):
         s = np.eye(3)[:, :2]
-        y = 2.0 * s  # tr(s^T y) = 4 >= 0.25 * theta * tr(s^T s) = 0.5
-        pair = damp_pair(s, y, theta=1.0)
-        np.testing.assert_array_equal(pair.y_damped, y)
-        assert pair.s_dot_y == pytest.approx(4.0)
+        y = 2.0 * s  # theta = 2, tr(s^T y) = 4 >= 0.25 * theta * tr(s^T s) = 1
+        mem = pushed(s, y)
+        assert mem.theta == pytest.approx(2.0)
+        np.testing.assert_array_equal(mem.pairs[-1].y_damped, y)
+        assert mem.pairs[-1].s_dot_y == pytest.approx(4.0)
 
     def test_active_branch_hits_quarter_curvature_exactly(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((6, 2))
-        y = -s  # strongly negative curvature forces damping
+        y = -s  # negative curvature: theta falls to the floor and damping is forced
         theta = 0.7
-        pair = damp_pair(s, y, theta)
+        mem = pushed(s, y, theta_floor=theta)
+        assert mem.theta == theta
         target = 0.25 * theta * float(np.sum(s * s))
-        assert pair.s_dot_y == pytest.approx(target, rel=1e-12)
+        assert mem.pairs[-1].s_dot_y == pytest.approx(target, rel=1e-12)
 
     def test_orthogonal_hand_case(self):
-        # theta=1, tr(s^T s)=4, y perpendicular to s: beta = 0.75, tr(s^T ybar) = 1
+        # y perpendicular to s, so theta = floor = 1 and tr(s^T s) = 4:
+        # beta = 0.75, tr(s^T ybar) = 1
         s = np.array([[2.0], [0.0]])
         y = np.array([[0.0], [3.0]])
-        pair = damp_pair(s, y, theta=1.0)
+        pair = pushed(s, y, theta_floor=1.0).pairs[-1]
         assert pair.s_dot_y == pytest.approx(1.0)
         np.testing.assert_allclose(pair.y_damped, 0.75 * y + 0.25 * s)
 
     def test_zero_displacement_rejected(self):
-        with pytest.raises(ValueError):
-            damp_pair(np.zeros((4, 2)), np.ones((4, 2)), 1.0)
+        # the pair is not stored and theta keeps its previous value
+        mem = pushed(np.ones((4, 2)), 3.0 * np.ones((4, 2)))
+        pair, theta = mem.pairs[0], mem.theta
+        mem.push(np.zeros((4, 2)), np.ones((4, 2)))
+        assert len(mem.pairs) == 1 and mem.pairs[0] is pair
+        assert mem.theta == theta
 
     def test_nonpositive_theta_rejected(self):
-        with pytest.raises(ValueError):
-            damp_pair(np.ones((4, 2)), np.ones((4, 2)), 0.0)
+        for floor in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta_floor"):
+                LbfgsMemory(theta_floor=floor)
 
 
 class TestThetaInit:
+    # theta as LbfgsMemory.push refreshes it from the latest raw pair
+
     def test_identical_inputs(self):
         s = np.random.default_rng(1).standard_normal((5, 2))
-        assert theta_init(s, s, 1e-3) == pytest.approx(1.0)
-        assert theta_init(s, s, 2.0) == 2.0
+        assert pushed(s, s, 1e-3).theta == pytest.approx(1.0)
+        assert pushed(s, s, 2.0).theta == 2.0
 
     def test_scaled_inputs(self):
         s = np.random.default_rng(2).standard_normal((5, 2))
-        assert theta_init(s, 2.0 * s, 1e-3) == pytest.approx(2.0)
+        assert pushed(s, 2.0 * s, 1e-3).theta == pytest.approx(2.0)
 
     def test_nonpositive_curvature_floors(self):
         s = np.array([[1.0], [0.0]])
         y = np.array([[0.0], [1.0]])  # tr(s^T y) = 0
-        assert theta_init(s, y, 1e-3) == 1e-3
-        assert theta_init(s, -s, 1e-3) == 1e-3
+        assert pushed(s, y, 1e-3).theta == 1e-3
+        assert pushed(s, -s, 1e-3).theta == 1e-3
 
     def test_roundoff_level_curvature_floors(self):
         # s and y orthogonal up to roundoff: tr(s^T y) / (||s|| ||y||) = 1e-20
         # would give theta = 1e20 * ||y|| / ||s||
         s = np.array([[1.0], [1e-20]])
         y = np.array([[0.0], [1.0]])
-        assert theta_init(s, y, 1e-3) == 1e-3
-        assert theta_init(1e-18 * s, y, 1e-3) == 1e-3
+        assert pushed(s, y, 1e-3).theta == 1e-3
+        assert pushed(1e-18 * s, y, 1e-3).theta == 1e-3
 
 
 class TestBuildDiag:
@@ -202,6 +214,11 @@ class TestBuildDiag:
 
 
 class TestMemory:
+    @pytest.mark.parametrize("capacity", [0, -1, 2.0, 2.5, True])
+    def test_rejects_bad_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            LbfgsMemory(capacity=capacity)
+
     def test_capacity_trimmed(self):
         mem = LbfgsMemory(capacity=2)
         for seed in range(5):

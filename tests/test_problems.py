@@ -80,6 +80,11 @@ class TestCompressedModes:
         with pytest.raises(ValueError):
             make_cm(16, 2, -0.5)
 
+    @pytest.mark.parametrize("n, r", [(8, 9), (8, 0), (8, -1)])
+    def test_rejects_column_count_outside_one_to_n(self, n, r):
+        with pytest.raises(ValueError, match="1 <= r <= n"):
+            make_cm(n, r, 0.1)
+
     def test_descriptor(self):
         prob = make_cm(16, 2, 0.3)
         assert prob.descriptor["kind"] == "cm"
@@ -127,6 +132,20 @@ class TestSparsePca:
     def test_rejects_negative_mu(self):
         with pytest.raises(ValueError):
             make_spca(20, 3, -0.1, seed=0)
+
+    @pytest.mark.parametrize("shape", [(50, 11), (50, 13), (12,), (2, 50, 12)])
+    def test_rejects_data_of_wrong_shape(self, shape):
+        # a wrong width used to fail only at the first evaluation
+        with pytest.raises(ValueError, match="n=12 columns"):
+            make_spca(12, 2, 1.0, data=np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, bad):
+        # NaN data used to give lipschitz_estimate = nan and a NONFINITE run
+        data = np.ones((50, 12))
+        data[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_spca(12, 2, 1.0, data=data)
 
     def test_solved_instance_lands_in_reported_range(self):
         # published ballpark for (n, r, mu) = (500, 20, 1.0): objective near

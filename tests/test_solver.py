@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelprox import (
     CompositeProblem,
@@ -11,24 +13,31 @@ from stiefelprox import (
     RetractionKind,
     SolverConfig,
     Status,
+    StiefelPoint,
     TangentVector,
-    compute_rho,
     feasibility_residual,
     line_search,
     make_cm,
     make_spca,
     metric_norm_sq,
     nonmonotone_reference,
-    pg_baseline_metric,
     project_tangent,
     random_point,
     solve,
     sparsity,
-    update_sigma,
     write_trace_csv,
 )
 from stiefelprox.problems import schrodinger_operator
-from stiefelprox.solver import SIGMA_MIN, TRACE_CSV_HEADER
+from stiefelprox.solver import (
+    SIGMA_MIN,
+    TRACE_CSV_HEADER,
+    compute_rho,
+    pg_baseline_metric,
+    update_sigma,
+)
+
+# fixed examples, so the suite draws the same instances on every run
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
 class TestConfig:
@@ -56,6 +65,12 @@ class TestConfig:
             dict(tol_factor=-1e-8),
             dict(theta_floor=0.0),
             dict(max_inner_sigma=0),
+            dict(mode="pg"),
+            dict(retraction="svd"),
+            dict(sigma0=math.nan),
+            dict(sigma0=math.inf),
+            dict(theta_floor=math.nan),
+            dict(tol_factor=math.nan),
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -147,6 +162,34 @@ class TestLineSearch:
             lo = line_search(prob, X, v, metric, F_mono, cfg)
             hi = line_search(prob, X, v, metric, F_mono + 0.5, cfg)
             assert hi.backtracks <= lo.backtracks
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(4, 12),
+        r=st.integers(1, 4),
+        mu=st.floats(0.0, 0.5),
+        log_scale=st.floats(-2.0, 1.5),
+        slack=st.floats(1e-3, 1.0),
+        kind=st.sampled_from(list(RetractionKind)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_f_value_is_objective_at_returned_point(self, n, r, mu, log_scale, slack, kind, seed):
+        # any step length and retraction: the accepted point is a StiefelPoint
+        # and f_value is F at exactly that point, so the solver's next iterate
+        # and its recorded F agree
+        prob = make_cm(n, r, mu)
+        X = random_point(n, r, seed)
+        M = 10.0**log_scale * np.random.default_rng(seed).standard_normal((n, r))
+        v = project_tangent(X, M)
+        metric = DiagonalMetric(np.ones(n), 0.0)
+        # F is continuous along the retraction, so a slack above F(X) is met
+        # once alpha is small enough
+        F_ref = prob.objective(X.data) + slack
+        out = line_search(prob, X, v, metric, F_ref, SolverConfig(retraction=kind))
+        assert out is not None
+        assert isinstance(out.point, StiefelPoint)
+        assert prob.objective(out.point.data) == out.f_value
+        assert feasibility_residual(out.point) <= 1e-10
 
     def test_underflow_signals_failure(self):
         # an objective that jumps up anywhere off the base point can never

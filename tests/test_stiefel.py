@@ -64,6 +64,30 @@ def test_projection_residual_orthogonal_to_tangents():
         assert abs(np.sum(resid * xi.data)) <= 1e-10
 
 
+@PROPERTY_SETTINGS
+@given(
+    shape=SHAPE,
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    alpha=st.floats(-1e3, 1e3),
+)
+def test_unchecked_tangents_pass_the_checked_constructor(shape, seed, log_scale, alpha):
+    # project_tangent and alpha * xi skip the tangency check: what they build
+    # must pass it, be read-only and stay attached to X itself
+    n, r = shape
+    X = random_point(n, r, seed)
+    M = 10.0**log_scale * np.random.default_rng(seed).standard_normal((n, r))
+    xi = project_tangent(X, M)
+    before = xi.data.copy()
+    for v in (xi, alpha * xi, np.float64(alpha) * xi):
+        assert isinstance(v, TangentVector)
+        assert v.base is X
+        assert not v.data.flags.writeable
+        TangentVector(v.data, X)
+    np.testing.assert_array_equal((alpha * xi).data, alpha * xi.data)
+    np.testing.assert_array_equal(xi.data, before)
+
+
 def test_project_shape_mismatch():
     X = random_point(5, 2, 0)
     with pytest.raises(ValueError):
@@ -175,8 +199,9 @@ def test_retraction_feasible_for_large_steps(kind):
 @PROPERTY_SETTINGS
 @given(shape=SHAPE, seed=st.integers(0, 2**32 - 1), log_norm=st.floats(-10.0, 3.0))
 def test_raw_retractions_feasible_for_any_tangent_step(shape, seed, log_norm):
-    # the solver's line search calls the raw retractions, so feasibility must
-    # hold before StiefelPoint's containment, for steps from 1e-10 to 1e3
+    # feasibility must hold before StiefelPoint's drift containment, which
+    # retract applies, so that a line-search trial pays for no polar factor,
+    # for steps from 1e-10 to 1e3
     n, r = shape
     X = random_point(n, r, seed)
     D = rand_tangent(X, seed).data
