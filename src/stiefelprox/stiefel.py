@@ -64,8 +64,8 @@ class StiefelPoint:
         if X.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={X.ndim}")
         n, r = X.shape
-        if r > n:
-            raise ValueError(f"need r <= n columns, got shape {X.shape}")
+        if not 1 <= r <= n:
+            raise ValueError(f"need 1 <= r <= n columns, got shape {X.shape}")
         feas = _feasibility(X)
         if not feas <= FEASIBILITY_TOL:
             # any nan or inf entry makes the residual non-finite, so finite
@@ -194,8 +194,8 @@ def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = Retractio
 
 def random_point(n: int, r: int, seed: int) -> StiefelPoint:
     """Orthonormalized QR factor of a seeded n x r standard Gaussian matrix."""
-    if r > n:
-        raise ValueError(f"need r <= n, got n={n}, r={r}")
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     rng = np.random.default_rng(seed)
     return StiefelPoint(_qf(rng.standard_normal((n, r))))
 

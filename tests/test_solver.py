@@ -25,10 +25,12 @@ from stiefelprox import (
     random_point,
     solve,
     sparsity,
+    ssn_solve,
     write_trace_csv,
 )
-from stiefelprox.problems import schrodinger_operator
+from stiefelprox.problems import make_problem, schrodinger_operator
 from stiefelprox.solver import (
+    FORCING,
     SIGMA_MIN,
     TRACE_CSV_HEADER,
     compute_rho,
@@ -400,6 +402,13 @@ class TestSolve:
         assert res.trace[-1].F == base.objective(res.point.data)
         assert math.isfinite(res.final_norm_v_sq)
 
+    @pytest.mark.parametrize("n, r", [(12, 2), (16, 3)])
+    def test_rejects_start_of_wrong_shape(self, n, r):
+        # a short X0 used to fail in a matmul inside eval_grad_f, and a wide
+        # one used to run to CONVERGED on the wrong manifold
+        with pytest.raises(ValueError, match=r"X0 has shape \(%d, %d\), the problem needs \(16, 2\)" % (n, r)):
+            solve(make_cm(16, 2, 0.1), random_point(n, r, 0))
+
     def test_retraction_choice_is_used(self):
         prob = make_cm(32, 2, 0.1)
         X0 = random_point(32, 2, 3)
@@ -435,6 +444,67 @@ class TestSolve:
         assert max(hi / lo for lo, hi in seen) < 1e12
 
 
+def _recording_ssn(monkeypatch):
+    """Route the solver's ssn_solve through a wrapper; returns the call log."""
+    import stiefelprox.solver as solver_mod
+
+    calls = []
+
+    def recording(X, G, metric, mu, lam0, tol, max_iter):
+        calls.append((X, G, metric, mu, lam0, tol, max_iter))
+        return ssn_solve(X, G, metric, mu, lam0, tol, max_iter)
+
+    monkeypatch.setattr(solver_mod, "ssn_solve", recording)
+    return calls
+
+
+class TestInexactSubproblem:
+    @pytest.mark.parametrize(
+        "mode, n, r, seed, escalates",
+        [
+            (Mode.NONMONOTONE, 64, 4, 0, False),
+            # iteration 14 of this run re-solves after six sigma escalations
+            (Mode.MONOTONE, 32, 2, 2, True),
+            (Mode.PROX_GRAD, 32, 2, 2, False),
+        ],
+    )
+    def test_tolerance_follows_forcing_rule(self, monkeypatch, mode, n, r, seed, escalates):
+        calls = _recording_ssn(monkeypatch)
+        res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
+        assert res.status is Status.CONVERGED
+        assert any(t.resolves > 1 for t in res.trace) == escalates
+        # the passes of iteration k, then the pass that found the stop
+        assert len(calls) == sum(t.resolves for t in res.trace) + 1
+        i = 0
+        for k, t in enumerate(res.trace + [None]):
+            G = calls[i][1]
+            floor = 1e-8 * max(1.0, float(np.linalg.norm(G)))
+            expected = floor if k == 0 else max(floor, FORCING * res.trace[k - 1].normV)
+            passes = calls[i:i + (t.resolves if t is not None else 1)]
+            assert all(c[1] is G and c[5] == expected for c in passes)
+            if t is not None:
+                assert t.ssn_tol == expected
+            i += len(passes)
+
+    @pytest.mark.parametrize(
+        "kind, n, r, mu, seed",
+        [("cm", 64, 4, 0.1, s) for s in range(5)] + [("spca", 60, 12, 0.6, 0)],
+    )
+    def test_last_subproblem_certifies_the_stop(self, monkeypatch, kind, n, r, mu, seed):
+        # re-solving the subproblem of the CONVERGED exit far more tightly
+        # gives the same ||V||^2, still inside the stop bound; r = 12 takes
+        # the CG Newton path
+        calls = _recording_ssn(monkeypatch)
+        res = solve(make_problem(kind, n, r, mu, seed), random_point(n, r, seed))
+        assert res.status is Status.CONVERGED
+        args = calls[-1]
+        assert args[5] > 1e-13
+        V = ssn_solve(*args[:5], 1e-13, 200).v.data
+        norm_v_sq = float(np.vdot(V, V))
+        assert norm_v_sq == pytest.approx(res.final_norm_v_sq, rel=1e-3)
+        assert norm_v_sq <= 1e-8 * n * r
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         prob = make_cm(16, 2, 0.1)
@@ -448,3 +518,5 @@ class TestTraceCsv:
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(res.trace[0].F, rel=1e-10)
         assert int(first[8]) == res.trace[0].resolves
+        assert int(first[9]) == res.trace[0].ls_trials
+        assert float(first[10]) == pytest.approx(res.trace[0].ssn_tol, rel=1e-5)

@@ -250,6 +250,15 @@ def test_random_point_rejects_wide():
         random_point(3, 5, 0)
 
 
+def test_point_needs_at_least_one_column():
+    with pytest.raises(ValueError, match="1 <= r <= n"):
+        random_point(5, 0, 0)
+    with pytest.raises(ValueError, match="1 <= r <= n"):
+        StiefelPoint(np.zeros((5, 0)))
+    with pytest.raises(ValueError, match="1 <= r <= n"):
+        StiefelPoint(np.zeros((0, 0)))
+
+
 def test_feasibility_residual_cases():
     n, r = 6, 2
     E = np.zeros((n, r))
