@@ -228,7 +228,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, default=50, help="runs per cell (seed = base+i)")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="summary CSV path")
-    parser.add_argument("--config", action="append", metavar="KEY=VAL", help="solver config override")
+    parser.add_argument(
+        "--config", action="append", metavar="KEY=VAL",
+        help=f"solver config override, KEY one of: {', '.join(_CONFIG_FIELD_TYPES)}",
+    )
     parser.add_argument("--trace-dir", default=None, help="write per-run iteration traces here")
     args = parser.parse_args(argv)
 

@@ -58,12 +58,11 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
 
-def schrodinger_operator(n: int, boundary: str = "periodic") -> sp.csr_matrix:
-    """-1/2 of the second-order central-difference Laplacian on [0, 50].
+def schrodinger_operator(n: int) -> sp.csr_matrix:
+    """-1/2 of the periodic second-order central-difference Laplacian on [0, 50].
 
-    Grid spacing dx = 50/n; periodic closure adds the corner couplings, the
-    Dirichlet variant drops them. Row sums vanish in the periodic case (the
-    constant vector is the null direction).
+    Grid spacing dx = 50/n; the periodic closure adds the corner couplings, so
+    row sums vanish (the constant vector is the null direction).
     """
     if n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
@@ -72,20 +71,17 @@ def schrodinger_operator(n: int, boundary: str = "periodic") -> sp.csr_matrix:
     main = np.full(n, inv)
     off = np.full(n - 1, -0.5 * inv)
     H = sp.diags([off, main, off], offsets=(-1, 0, 1), format="lil")
-    if boundary == "periodic":
-        H[0, n - 1] = -0.5 * inv
-        H[n - 1, 0] = -0.5 * inv
-    elif boundary != "dirichlet":
-        raise ValueError(f"unknown boundary {boundary!r}")
+    H[0, n - 1] = -0.5 * inv
+    H[n - 1, 0] = -0.5 * inv
     return H.tocsr()
 
 
-def make_cm(n: int, r: int, mu: float, boundary: str = "periodic") -> CompositeProblem:
+def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X."""
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     _check_mu(mu)
-    H = schrodinger_operator(n, boundary)
+    H = schrodinger_operator(n)
     L = 2.0 * _power_norm(lambda v: H @ v, n)
 
     def eval_f(X: np.ndarray) -> float:
@@ -94,7 +90,7 @@ def make_cm(n: int, r: int, mu: float, boundary: str = "periodic") -> CompositeP
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return 2.0 * (H @ X)
 
-    desc = {"kind": "cm", "n": n, "r": r, "mu": mu, "seed": None, "boundary": boundary}
+    desc = {"kind": "cm", "n": n, "r": r, "mu": mu, "seed": None}
     return CompositeProblem(eval_f, eval_grad_f, float(mu), L, desc)
 
 

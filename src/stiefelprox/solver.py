@@ -17,7 +17,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,66 +40,47 @@ class Status(Enum):
     NONFINITE = "nonfinite"  # f or its gradient stopped being finite
 
 
-# SolverConfig fields that count iterations, passes or stored pairs
-_INT_FIELDS = ("window_m", "memory_p", "max_outer", "max_ssn", "max_inner_sigma")
-# SolverConfig fields that hold a real parameter
-_FLOAT_FIELDS = (
-    "sigma0", "eta1", "eta2", "gamma1", "gamma2", "ls_sigma", "ls_gamma", "theta_floor", "tol_factor",
-)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings a caller varies: first regularizer, iteration budget,
+    retraction and mode.
+
+    ARPQN's fixed constants are class-level, readable but not keywords: the
+    thresholds and factors of update_sigma, the Armijo slope and backtracking
+    factor of line_search, the nonmonotone window, the stopping factor
+    (||V||^2 <= tol_factor * n * r), Newton steps per subproblem and
+    subproblem passes per iteration.
+    """
+
     sigma0: float = 1.0
-    eta1: float = 0.2
-    eta2: float = 0.9
-    gamma1: float = 0.3
-    gamma2: float = 3.0
-    ls_sigma: float = 1e-4
-    ls_gamma: float = 0.5
-    window_m: int = 5
-    memory_p: int = 5
-    theta_floor: float = 1e-3
-    tol_factor: float = 1e-8
     max_outer: int = 70000
-    max_ssn: int = 100
-    max_inner_sigma: int = 30
     retraction: RetractionKind = RetractionKind.SVD
     mode: Mode = Mode.NONMONOTONE
 
+    eta1: ClassVar[float] = 0.2
+    eta2: ClassVar[float] = 0.9
+    gamma1: ClassVar[float] = 0.3
+    gamma2: ClassVar[float] = 3.0
+    ls_sigma: ClassVar[float] = 1e-4
+    ls_gamma: ClassVar[float] = 0.5
+    window_m: ClassVar[int] = 5
+    tol_factor: ClassVar[float] = 1e-8
+    max_ssn: ClassVar[int] = 100
+    max_inner_sigma: ClassVar[int] = 30
+
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not (isinstance(self.sigma0, numbers.Real) and math.isfinite(self.sigma0)):
+            raise ValueError(f"sigma0 must be a finite number, got {self.sigma0!r}")
+        if self.sigma0 <= 0:
+            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not isinstance(self.max_outer, numbers.Integral) or isinstance(self.max_outer, bool):
+            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if not isinstance(self.retraction, RetractionKind):
             raise ValueError(f"retraction must be a RetractionKind, got {self.retraction!r}")
-        if not (0.0 < self.eta1 < self.eta2 < 1.0):
-            raise ValueError(f"need 0 < eta1 < eta2 < 1, got ({self.eta1}, {self.eta2})")
-        if not (0.0 < self.gamma1 < 1.0 < self.gamma2):
-            raise ValueError(f"need 0 < gamma1 < 1 < gamma2, got ({self.gamma1}, {self.gamma2})")
-        if not (0.0 < self.ls_sigma < 1.0 and 0.0 < self.ls_gamma < 1.0):
-            raise ValueError("line-search parameters must lie in (0, 1)")
-        if self.sigma0 <= 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.window_m < 0 or self.memory_p < 1:
-            raise ValueError("window_m must be >= 0 and memory_p >= 1")
-        if self.theta_floor <= 0:
-            raise ValueError(f"theta_floor must be positive, got {self.theta_floor}")
-        if self.tol_factor < 0:
-            raise ValueError(f"tol_factor must be nonnegative, got {self.tol_factor}")
-        if self.max_outer < 0:
-            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
-        if self.max_ssn < 1:
-            raise ValueError(f"max_ssn must be >= 1, got {self.max_ssn}")
-        if self.max_inner_sigma < 1:
-            raise ValueError(f"max_inner_sigma must be >= 1, got {self.max_inner_sigma}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +139,11 @@ def nonmonotone_reference(history: Sequence[float], m: int) -> float:
     return max(window)
 
 
+# Trials of one line search: alpha runs 1, ls_gamma, ..., ls_gamma^66 ~ 1.4e-20
+# before the search gives up and sigma escalates.
+LS_TRIALS = 67
+
+
 class LineSearchResult(NamedTuple):
     alpha: float
     point: StiefelPoint
@@ -179,19 +165,17 @@ def line_search(
         F(R_X(alpha V)) <= F_ref - 1/2 * ls_sigma * alpha * ||V||_metric^2.
 
     F is evaluated at the retracted point itself, so f_value is F at the
-    returned point. Returns None when alpha underflows 1e-20 (signal to
+    returned point. Returns None after LS_TRIALS failed trials (signal to
     escalate sigma).
     """
     quad = metric_norm_sq(metric, v.data)
     alpha = 1.0
-    backtracks = 0
-    while alpha >= 1e-20:
+    for backtracks in range(LS_TRIALS):
         Z = retract(X, alpha * v, config.retraction)
         F_trial = problem.objective(Z.data)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
             return LineSearchResult(alpha, Z, backtracks, F_trial, quad)
         alpha *= config.ls_gamma
-        backtracks += 1
     return None
 
 
@@ -281,7 +265,7 @@ def solve(
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m
     stop_tol = cfg.tol_factor * n * r
 
-    memory = LbfgsMemory(capacity=cfg.memory_p, theta_floor=cfg.theta_floor)
+    memory = LbfgsMemory()
     pg_metric = pg_baseline_metric(problem, n) if pg_mode else None
 
     G = np.asarray(problem.eval_grad_f(X.data), dtype=float)
@@ -294,8 +278,6 @@ def solve(
     trace: list[TraceRecord] = []
     stationary_streak = 0
     F_recent: deque = deque([F_cur], maxlen=FLATNESS_WINDOW + 1)
-    # trial count of a line search that underflowed alpha < 1e-20
-    failed_ls_trials = int(math.log(1e-20) / math.log(cfg.ls_gamma)) + 1
 
     for k in range(cfg.max_outer):
         if pg_mode:
@@ -334,8 +316,8 @@ def solve(
             F_ref = nonmonotone_reference(F_hist, window_m)
             ls = line_search(problem, X, sub.v, metric, F_ref, cfg)
             if ls is None:
-                bt_total += failed_ls_trials
-                trials_total += failed_ls_trials
+                bt_total += LS_TRIALS
+                trials_total += LS_TRIALS
                 if pg_mode or resolves >= cfg.max_inner_sigma:
                     return SolveResult(X, trace, Status.STALLED, norm_v_sq)
                 rejected.append(-math.inf)

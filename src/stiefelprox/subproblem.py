@@ -242,14 +242,15 @@ def ssn_solve(
     residual below min(0.1, ||E||) ||E||, at most r(r+1)/2 iterations; X o X
     is formed once per call and the diagonal once per step). It accepts the
     trial, halving it if needed, once it shrinks the residual by a fixed
-    factor. Otherwise the
-    full trial is recycled into a hyperplane-projection step
-    L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
+    factor. Otherwise the full trial u is recycled into a hyperplane-projection
+    step L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
     solution set of the monotone equation even when the Jacobian element is
     (near) singular; a verified fixed-point step L - t E(L) covers the
-    remaining degenerate case. The returned direction is the exact tangent
-    projection of V(L), so tangency holds to machine precision even when the
-    dual loop stops early (converged=False, best iterate returned).
+    remaining degenerate case. Far below the starting residual, the loop also
+    stops once two steps stagnate or make no progress (a cycle at the roundoff
+    floor). The returned direction is the exact tangent projection of V(L), so
+    tangency holds to machine precision even when the dual loop stops early
+    (converged=False, best iterate returned).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -288,28 +289,21 @@ def ssn_solve(
             newton_op = functools.partial(_jacobian, Xa, active, eta)
             diag = _jacobi_diag(XX, active, eta)
             step = _cg_symmetric(newton_op, -E, diag, rel_tol=min(0.1, res), max_iter=cg_cap)
-        u = _sym(lam + step)
-        Pu, Vu, Eu = fields(u)
-        res_u = float(np.linalg.norm(Eu))
+        # the Newton trial and its halvings, then a hyperplane projection built
+        # from the full trial u, then a verified fixed-point step
         accepted = False
-        if res_u <= _NEWTON_ACCEPT * res:
-            lam, P, V, E, res = u, Pu, Vu, Eu, res_u
-            accepted = True
-        if not accepted:
-            # halved Newton trials, then a hyperplane projection built from the
-            # full trial (moves toward the solution set of the monotone
-            # equation even with a singular Jacobian element), then a verified
-            # fixed-point step
-            st = 0.5 * step
-            for _ in range(_MAX_BACKTRACKS):
-                cand = _sym(lam + st)
-                Pc, Vc, Ec = fields(cand)
-                res_c = float(np.linalg.norm(Ec))
-                if res_c <= _NEWTON_ACCEPT * res:
-                    lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
-                    accepted = True
-                    break
-                st *= 0.5
+        st = step
+        for j in range(_MAX_BACKTRACKS + 1):
+            cand = _sym(lam + st)
+            Pc, Vc, Ec = fields(cand)
+            res_c = float(np.linalg.norm(Ec))
+            if j == 0:
+                u, Eu, res_u = cand, Ec, res_c
+            if res_c <= _NEWTON_ACCEPT * res:
+                lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
+                accepted = True
+                break
+            st = 0.5 * st
         if not accepted:
             gap = float(np.sum(Eu * (lam - u)))
             if gap > 0.0 and res_u > 0.0:
@@ -338,13 +332,20 @@ def ssn_solve(
         # degenerate-valley bailout: once the residual is far below its
         # starting scale, two consecutive near-stagnant steps mean the
         # remainder lives in a null direction of the Jacobian along which the
-        # primal direction V(L) no longer changes; the best iterate is
-        # already as good as this solve will get
+        # primal direction V(L) no longer changes, and no progress over two
+        # steps means a cycle at the roundoff floor (only a hyperplane step
+        # can raise the residual); either way the best iterate is already as
+        # good as this solve will get
         if (
             len(history) >= 3
             and res <= 1e-3 * max(1.0, history[0])
-            and history[-1] >= _STALL_FACTOR * history[-2]
-            and history[-2] >= _STALL_FACTOR * history[-3]
+            and (
+                history[-1] >= history[-3]
+                or (
+                    history[-1] >= _STALL_FACTOR * history[-2]
+                    and history[-2] >= _STALL_FACTOR * history[-3]
+                )
+            )
         ):
             break
 

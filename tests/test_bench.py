@@ -36,14 +36,14 @@ class TestSpec:
 
     def test_invalid_override_value_rejected(self):
         # an out-of-range value fails at construction, not as a failed run per seed
-        with pytest.raises(ValueError, match="max_ssn"):
-            ExperimentSpec(**TINY, overrides={"max_ssn": 0})
+        with pytest.raises(ValueError, match="max_outer"):
+            ExperimentSpec(**TINY, overrides={"max_outer": -1})
 
     def test_non_integer_override_rejected(self):
         # before SolverConfig checked types, this built a spec whose every run
         # failed with a TypeError and whose row read F = nan
-        with pytest.raises(ValueError, match="window_m must be an integer"):
-            ExperimentSpec(**TINY, overrides={"window_m": 2.5})
+        with pytest.raises(ValueError, match="max_outer must be an integer"):
+            ExperimentSpec(**TINY, overrides={"max_outer": 2.5})
 
 
 class TestConfigBuild:
@@ -53,8 +53,8 @@ class TestConfigBuild:
         assert build_config("pg", "qr", {}).mode is Mode.PROX_GRAD
 
     def test_overrides_applied(self):
-        cfg = build_config("nls", "svd", {"sigma0": 2.0, "window_m": 3})
-        assert cfg.sigma0 == 2.0 and cfg.window_m == 3
+        cfg = build_config("nls", "svd", {"sigma0": 2.0, "max_outer": 3})
+        assert cfg.sigma0 == 2.0 and cfg.max_outer == 3
 
     def test_label_format(self):
         assert run_label("cm", 64, 4, 0.1, "nls", "svd") == "cm_n64_r4_mu0.1_nls_svd"
@@ -225,7 +225,7 @@ class TestCli:
             ("myfield=3", "unknown config field 'myfield'"),
             ("max_outer=1e3", "--config max_outer expects int, got '1e3'"),
             ("sigma0=fast", "--config sigma0 expects float, got 'fast'"),
-            ("max_ssn=0", "bench: max_ssn must be >= 1, got 0"),
+            ("window_m=3", "unknown config field 'window_m'"),
             ("sigma0=nan", "bench: sigma0 must be a finite number, got nan"),
         ]
         for item, message in cases:

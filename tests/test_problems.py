@@ -38,11 +38,6 @@ class TestSchrodingerOperator:
         H = schrodinger_operator(16)
         np.testing.assert_allclose(H @ np.ones(16), 0.0, atol=1e-12)
 
-    def test_dirichlet_drops_corners(self):
-        H = schrodinger_operator(8, boundary="dirichlet").toarray()
-        assert H[0, 7] == 0.0 and H[7, 0] == 0.0
-        assert H[0, 1] != 0.0
-
     def test_positive_semidefinite(self):
         H = schrodinger_operator(32).toarray()
         assert np.linalg.eigvalsh(H).min() >= -1e-10
@@ -50,10 +45,6 @@ class TestSchrodingerOperator:
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
             schrodinger_operator(3)
-
-    def test_unknown_boundary(self):
-        with pytest.raises(ValueError):
-            schrodinger_operator(8, boundary="absorbing")
 
 
 class TestCompressedModes:

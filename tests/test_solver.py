@@ -42,12 +42,22 @@ from stiefelprox.solver import (
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
+def _rejection(kwargs):
+    """The error SolverConfig(**kwargs) raises: ValueError for a bad setting,
+    TypeError for a name that is a class-level constant, not a field."""
+    settable = {f.name for f in dataclasses.fields(SolverConfig)}
+    return ValueError if set(kwargs) <= settable else TypeError
+
+
 class TestConfig:
     def test_defaults_valid(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "sigma0", "max_outer", "retraction", "mode",
+        ]
         cfg = SolverConfig()
         assert cfg.sigma0 == 1.0 and cfg.eta1 == 0.2 and cfg.eta2 == 0.9
         assert cfg.gamma1 == 0.3 and cfg.gamma2 == 3.0
-        assert cfg.window_m == 5 and cfg.memory_p == 5
+        assert cfg.window_m == 5
 
     @pytest.mark.parametrize(
         "bad",
@@ -76,7 +86,9 @@ class TestConfig:
         ],
     )
     def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
+        # the cases cover all ten class-level constants and memory_p/theta_floor,
+        # which live on LbfgsMemory: none of them is a keyword any more
+        with pytest.raises(_rejection(bad)):
             SolverConfig(**bad)
 
     @pytest.mark.parametrize(
@@ -90,13 +102,13 @@ class TestConfig:
         ],
     )
     def test_rejects_non_integer_counts(self, field, value):
-        # in range, but a float: the solver would fail mid-run with a TypeError
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        # max_outer in range but a float would fail mid-run with a TypeError;
+        # the other names are class-level constants, not keywords
+        with pytest.raises(_rejection({field: value}), match=field):
             SolverConfig(**{field: value})
 
     def test_accepts_numpy_integers(self):
-        cfg = SolverConfig(window_m=np.int64(3), max_ssn=np.int32(7))
-        assert cfg.window_m == 3 and cfg.max_ssn == 7
+        assert SolverConfig(max_outer=np.int64(3)).max_outer == 3
 
 
 class TestNonmonotoneReference:

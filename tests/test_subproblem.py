@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelprox import DiagonalMetric, random_point, ssn_solve
+import stiefelprox.solver as solver_module
+from stiefelprox import DiagonalMetric, make_spca, random_point, solve, ssn_solve
 from stiefelprox.metric import metric_norm_sq
 from stiefelprox.subproblem import (
     _DIRECT_MAX_R,
@@ -350,6 +351,22 @@ class TestSsnSolve:
         assert res.residual_history[-1] <= tol
         assert res.residual_norm == res.residual_history[-1]
         assert res.residual_norm <= res.residual_history[0]
+
+    def test_stops_when_cycling_at_the_roundoff_floor(self, monkeypatch):
+        # the last subproblem of SPCA(40,12,0.5) seed 0, asked below its
+        # roundoff floor, alternated 2.2e-11 <-> 3.2e-10 for all 200 steps
+        calls = []
+        original = solver_module.ssn_solve
+
+        def recording(X, G, metric, mu, lam0, tol, max_iter):
+            calls.append((X, G, metric, mu, lam0))
+            return original(X, G, metric, mu, lam0, tol, max_iter)
+
+        monkeypatch.setattr(solver_module, "ssn_solve", recording)
+        solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
+        res = ssn_solve(*calls[-1], 1e-11, 200)
+        assert not res.converged and res.ssn_iters < 20
+        assert res.residual_norm == min(res.residual_history) <= 1e-10
 
     def test_warm_start_reuses_multiplier(self):
         X, G, metric = make_instance(6, 2, 23)
