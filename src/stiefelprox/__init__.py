@@ -1,9 +1,11 @@
 """l1-regularized composite optimization over the Stiefel manifold.
 
-Library plus benchmark harness: an adaptive quadratically regularized
-proximal quasi-Newton solver (with a semismooth-Newton dual subproblem
-solver, three retractions and a proximal-gradient baseline) and the
-compressed-modes / sparse-PCA problem generators.
+An adaptive quadratically regularized proximal quasi-Newton solver (with a
+semismooth-Newton dual subproblem solver, three retractions and a
+proximal-gradient baseline) and the compressed-modes / sparse-PCA problem
+generators. The benchmark harness is the separate module stiefelprox.bench,
+which the package does not import, so `python -m stiefelprox.bench` runs it
+cleanly.
 """
 
 from .stiefel import (
@@ -36,7 +38,6 @@ from .problems import (
     schrodinger_operator,
     sparsity,
 )
-from .bench import ExperimentSpec, SummaryRow, emit_csv, run_experiment
 
 __all__ = [
     "RetractionKind", "StiefelPoint", "TangentVector", "feasibility_residual",
@@ -47,7 +48,6 @@ __all__ = [
     "line_search", "nonmonotone_reference", "solve", "write_trace_csv",
     "CompositeProblem", "make_cm", "make_problem",
     "make_spca", "schrodinger_operator", "sparsity",
-    "ExperimentSpec", "SummaryRow", "emit_csv", "run_experiment",
 ]
 
 __version__ = "0.1.0"

@@ -23,8 +23,9 @@ from .problems import make_problem, sparsity
 from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
 
-MODE_BY_NAME = {"arpqn": Mode.MONOTONE, "nls": Mode.NONMONOTONE, "pg": Mode.PROX_GRAD}
-RETRACTION_BY_NAME = {"svd": RetractionKind.SVD, "qr": RetractionKind.QR, "cayley": RetractionKind.CAYLEY}
+# CLI and ExperimentSpec names are the enums' values ("nls", "svd", ...)
+MODE_NAMES = sorted(m.value for m in Mode)
+RETRACTION_NAMES = sorted(k.value for k in RetractionKind)
 
 SUMMARY_CSV_HEADER = "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures,nonconverged"
 
@@ -55,10 +56,10 @@ class ExperimentSpec:
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
         for m in self.modes:
-            if m not in MODE_BY_NAME:
+            if m not in MODE_NAMES:
                 raise ValueError(f"unknown mode {m!r}")
         for rt in self.retractions:
-            if rt not in RETRACTION_BY_NAME:
+            if rt not in RETRACTION_NAMES:
                 raise ValueError(f"unknown retraction {rt!r}")
         unknown = set(self.overrides) - set(_CONFIG_FIELD_TYPES)
         if unknown:
@@ -91,8 +92,8 @@ class SummaryRow:
 
 def build_config(mode: str, retraction: str, overrides: dict) -> SolverConfig:
     kwargs = dict(overrides)
-    kwargs["mode"] = MODE_BY_NAME[mode]
-    kwargs["retraction"] = RETRACTION_BY_NAME[retraction]
+    kwargs["mode"] = Mode(mode)
+    kwargs["retraction"] = RetractionKind(retraction)
     return SolverConfig(**kwargs)
 
 
@@ -223,8 +224,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--n", required=True, type=int, nargs="+", help="column lengths to sweep")
     parser.add_argument("--r", required=True, type=int, nargs="+", help="column counts to sweep")
     parser.add_argument("--mu", required=True, type=float, nargs="+", help="l1 weights to sweep")
-    parser.add_argument("--mode", type=str, nargs="+", default=["nls"], choices=sorted(MODE_BY_NAME))
-    parser.add_argument("--retraction", type=str, nargs="+", default=["svd"], choices=sorted(RETRACTION_BY_NAME))
+    parser.add_argument("--mode", type=str, nargs="+", default=["nls"], choices=MODE_NAMES)
+    parser.add_argument("--retraction", type=str, nargs="+", default=["svd"], choices=RETRACTION_NAMES)
     parser.add_argument("--seeds", type=int, default=50, help="runs per cell (seed = base+i)")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="summary CSV path")

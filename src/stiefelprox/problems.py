@@ -32,27 +32,6 @@ class CompositeProblem:
         return float(self.eval_f(X)) + self.mu * float(np.abs(X).sum())
 
 
-def _power_norm(matvec, dim: int, iters: int = 100, tol: float = 1e-8) -> float:
-    """Largest singular value of a symmetric PSD operator by power iteration."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    lam = 0.0
-    for _ in range(iters):
-        w = matvec(v)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= tol * max(1.0, nw):
-            return nw
-        lam = nw
-    return lam
-
-
 def _check_mu(mu: float) -> None:
     if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
@@ -61,19 +40,18 @@ def _check_mu(mu: float) -> None:
 def schrodinger_operator(n: int) -> sp.csr_matrix:
     """-1/2 of the periodic second-order central-difference Laplacian on [0, 50].
 
-    Grid spacing dx = 50/n; the periodic closure adds the corner couplings, so
-    row sums vanish (the constant vector is the null direction).
+    Grid spacing dx = 50/n; the periodic closure adds the corner couplings
+    (offsets +-(n-1)), so row sums vanish (the constant vector is the null
+    direction).
     """
     if n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
     dx = 50.0 / n
     inv = 1.0 / (dx * dx)
-    main = np.full(n, inv)
-    off = np.full(n - 1, -0.5 * inv)
-    H = sp.diags([off, main, off], offsets=(-1, 0, 1), format="lil")
-    H[0, n - 1] = -0.5 * inv
-    H[n - 1, 0] = -0.5 * inv
-    return H.tocsr()
+    off = -0.5 * inv
+    return sp.diags(
+        [off, off, inv, off, off], offsets=(1 - n, -1, 0, 1, n - 1), shape=(n, n), format="csr"
+    )
 
 
 def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
@@ -82,7 +60,10 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     _check_mu(mu)
     H = schrodinger_operator(n)
-    L = 2.0 * _power_norm(lambda v: H @ v, n)
+    # H = (I - (S + S^T)/2) / dx^2 for the cyclic shift S has eigenvalues
+    # (1 - cos(2 pi k/n)) / dx^2, largest at k = n // 2
+    dx = 50.0 / n
+    L = 2.0 * (1.0 - np.cos(2.0 * np.pi * (n // 2) / n)) / (dx * dx)
 
     def eval_f(X: np.ndarray) -> float:
         return float(np.sum(X * (H @ X)))
@@ -123,9 +104,7 @@ def make_spca(
         A -= A.mean(axis=0, keepdims=True)
         norms = np.linalg.norm(A, axis=0, keepdims=True)
         A /= np.where(norms == 0.0, 1.0, norms)
-    # ||A||_2^2 from the small m x m Gram operator
-    m = A.shape[0]
-    L = 2.0 * _power_norm(lambda v: A @ (A.T @ v), m)
+    L = 2.0 * float(np.linalg.norm(A, 2)) ** 2
 
     def eval_f(X: np.ndarray) -> float:
         AX = A @ X

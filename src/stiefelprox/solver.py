@@ -17,7 +17,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -230,7 +230,7 @@ def update_sigma(sigma: float, rho: float, config: SolverConfig) -> tuple[float,
 def pg_baseline_metric(problem: CompositeProblem, n: int) -> DiagonalMetric:
     """Constant 1/L-step metric on n rows for the proximal-gradient baseline.
 
-    Weight is the gradient Lipschitz estimate, floored at 1e-3 so a flat
+    Weight is the gradient's Lipschitz constant, floored at 1e-3 so a flat
     objective (L = 0) still yields a valid metric.
     """
     L = max(float(problem.lipschitz_estimate), 1e-3)
@@ -241,7 +241,6 @@ def solve(
     problem: CompositeProblem,
     X0: StiefelPoint,
     config: Optional[SolverConfig] = None,
-    callback: Optional[Callable[[int, StiefelPoint, TraceRecord], None]] = None,
 ) -> SolveResult:
     """Minimize f(X) + mu ||X||_1 over the Stiefel manifold from X0.
 
@@ -272,12 +271,13 @@ def solve(
     F_cur = problem.objective(X.data)
     if not (math.isfinite(F_cur) and np.isfinite(G).all()):
         return SolveResult(X, [], Status.NONFINITE)
-    F_hist: deque = deque([F_cur], maxlen=window_m + 1)
+    # accepted objective values: the flatness test reads the oldest, the
+    # nonmonotone reference the last window_m + 1 (window_m < FLATNESS_WINDOW)
+    F_hist: deque = deque([F_cur], maxlen=FLATNESS_WINDOW + 1)
     proj_G = None if pg_mode else project_tangent(X, G).data
     lam_warm = np.zeros((r, r))
     trace: list[TraceRecord] = []
     stationary_streak = 0
-    F_recent: deque = deque([F_cur], maxlen=FLATNESS_WINDOW + 1)
 
     for k in range(cfg.max_outer):
         if pg_mode:
@@ -306,7 +306,7 @@ def solve(
             norm_v_sq = float(np.vdot(V, V))
             if resolves == 1:
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
-                flat = F_recent[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
+                flat = F_hist[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
                 # a direction 1000x below the tolerance needs no confirmation
                 if norm_v_sq <= 1e-6 * stop_tol or (
                     stationary_streak >= STATIONARITY_CONFIRM and flat
@@ -370,8 +370,5 @@ def solve(
         trace.append(record)
         X, G, F_cur = Z, G_new, F_trial
         F_hist.append(F_cur)
-        F_recent.append(F_cur)
-        if callback is not None:
-            callback(k, X, record)
 
     return SolveResult(X, trace, Status.MAX_ITER)

@@ -1,6 +1,9 @@
 """Guards on the package's public surface and its internal layering."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stiefelprox
@@ -39,3 +42,16 @@ def test_solver_imports_no_private_name_from_a_sibling():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_bench_module_runs_without_a_runtime_warning():
+    # importing stiefelprox.bench from the package put it in sys.modules before
+    # `python -m` executed it, which runpy reports as a RuntimeWarning
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stiefelprox.bench", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--problem" in proc.stdout

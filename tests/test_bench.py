@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import stiefelprox.bench as bench
-from stiefelprox import ExperimentSpec, SummaryRow, emit_csv, run_experiment
-from stiefelprox.bench import build_config, main, run_label
+from stiefelprox.bench import (
+    ExperimentSpec,
+    SummaryRow,
+    build_config,
+    emit_csv,
+    main,
+    run_experiment,
+    run_label,
+)
 from stiefelprox.solver import Mode, Status, TRACE_CSV_HEADER
 from stiefelprox.stiefel import RetractionKind
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stiefelprox import (
     RetractionKind,
@@ -46,6 +47,17 @@ class TestSchrodingerOperator:
         with pytest.raises(ValueError):
             schrodinger_operator(3)
 
+    @pytest.mark.parametrize("n", [4, 5, 64])
+    def test_equals_hand_built_periodic_stencil(self, n):
+        inv = (n / 50.0) ** 2
+        dense = np.zeros((n, n))
+        for i in range(n):
+            dense[i, i] = inv
+            dense[i, (i - 1) % n] = dense[i, (i + 1) % n] = -0.5 * inv
+        H = schrodinger_operator(n)
+        assert isinstance(H, sp.csr_matrix)
+        np.testing.assert_allclose(H.toarray(), dense, rtol=1e-15, atol=0.0)
+
 
 class TestCompressedModes:
     def test_gradient_consistency(self):
@@ -58,8 +70,13 @@ class TestCompressedModes:
         n = 64
         prob = make_cm(n, 4, 0.1)
         dx = 50.0 / n
-        assert prob.lipschitz_estimate == pytest.approx(4.0 / dx**2, rel=5e-2)
-        assert prob.lipschitz_estimate <= 4.0 / dx**2 + 1e-9
+        assert prob.lipschitz_estimate == pytest.approx(4.0 / dx**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 64, 65])
+    def test_lipschitz_constant_is_twice_the_largest_eigenvalue(self, n):
+        H = schrodinger_operator(n).toarray()
+        L = 2.0 * np.linalg.eigvalsh(H)[-1]
+        assert make_cm(n, 2, 0.1).lipschitz_estimate == pytest.approx(L, rel=1e-12)
 
     def test_objective_nonnegative_up_to_null_direction(self):
         prob = make_cm(32, 3, 0.0)
@@ -89,6 +106,25 @@ class TestSparsePca:
         assert prob.eval_f(X) == 0.0
         np.testing.assert_array_equal(prob.eval_grad_f(X), 0.0)
         assert prob.lipschitz_estimate == 0.0
+
+    def test_lipschitz_constant_of_generated_data(self):
+        # the documented recipe: 50 x n seeded Gaussian, centered, unit columns
+        n = 40
+        A = np.random.default_rng(7).standard_normal((50, n))
+        A -= A.mean(axis=0)
+        A /= np.linalg.norm(A, axis=0)
+        prob = make_spca(n, 3, 1.0, seed=7)
+        X = random_point(n, 3, 0).data
+        assert prob.eval_f(X) == pytest.approx(-np.sum((A @ X) ** 2), rel=1e-12)
+        L = 2.0 * np.linalg.svd(A, compute_uv=False)[0] ** 2
+        assert prob.lipschitz_estimate == pytest.approx(L, rel=1e-12)
+
+    def test_lipschitz_constant_of_tall_data(self):
+        # more samples than variables
+        A = np.random.default_rng(3).standard_normal((80, 12))
+        prob = make_spca(12, 2, 1.0, data=A)
+        L = 2.0 * np.linalg.svd(A, compute_uv=False)[0] ** 2
+        assert prob.lipschitz_estimate == pytest.approx(L, rel=1e-12)
 
     def test_gradient_consistency(self):
         prob = make_spca(20, 3, 1.0, seed=2)
