@@ -157,4 +157,4 @@ class DiagonalMetric:
 
 def metric_norm_sq(metric: DiagonalMetric, V: np.ndarray) -> float:
     """tr(V^T (diag d + sigma I) V) = sum_i (d_i + sigma) sum_j V_ij^2."""
-    return float(np.sum(metric.weights() * np.sum(V * V, axis=1)))
+    return float((metric.weights() * (V * V).sum(axis=1)).sum())

@@ -8,6 +8,8 @@ Woodbury solve).
 
 from __future__ import annotations
 
+import functools
+import math
 from enum import Enum
 
 import numpy as np
@@ -24,9 +26,16 @@ class RetractionKind(Enum):
     CAYLEY = "cayley"
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(r: int) -> np.ndarray:
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
 def _feasibility(X: np.ndarray) -> float:
-    r = X.shape[1]
-    return float(np.linalg.norm(X.T @ X - np.eye(r)))
+    D = X.T @ X - _identity(X.shape[1])
+    return math.sqrt(np.vdot(D, D))
 
 
 def _polar_factor(A: np.ndarray) -> np.ndarray:

@@ -58,21 +58,29 @@ def _sym(A: np.ndarray) -> np.ndarray:
 
 
 def _fields(
-    Xa: np.ndarray, base: np.ndarray, scale: np.ndarray, thresh: np.ndarray, L: np.ndarray
+    Xa: np.ndarray,
+    base: np.ndarray,
+    scale: np.ndarray,
+    thresh: np.ndarray,
+    neg_thresh: np.ndarray,
+    L: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The dual map at a symmetric multiplier L: (P, V(L), E(L)).
 
     P = base + scale o (X L) is the prox argument, with base = X - G/w and
     scale = 2/w per row (the adjoint of A on symmetric L is A*(L) = 2 X L).
     V = prox(P) - X, where prox soft-thresholds entry (i, j) at thresh_i =
-    mu/w_i; at thresh = 0 it returns P exactly (sign(P) |P| = P), so the
-    smooth case mu = 0 needs no branch. E = A(V) = V^T X + X^T V is zero
-    exactly when V is tangent at X.
+    mu/w_i as P - clip(P, -thresh_i, thresh_i) (neg_thresh = -thresh); this
+    rounds exactly like sign(P) max(|P| - thresh, 0), and at thresh = 0 it
+    returns P exactly, so the smooth case mu = 0 needs no branch.
+    E = A(V) = V^T X + X^T V is zero exactly when V is tangent at X; it is
+    formed as M + M^T from the one product M = V^T X, so it is exactly
+    symmetric.
     """
     P = base + scale * (Xa @ L)
-    V = np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0) - Xa
-    E = V.T @ Xa + Xa.T @ V
-    return P, V, E
+    V = P - np.minimum(np.maximum(P, neg_thresh), thresh) - Xa
+    M = V.T @ Xa
+    return P, V, M + M.T
 
 
 def _jacobian(Xa: np.ndarray, active: np.ndarray, eta: float, D: np.ndarray) -> np.ndarray:
@@ -154,7 +162,8 @@ class _NewtonPlan(NamedTuple):
     Coordinate a is entry (rows[a], cols[a]) of the upper triangle, scaled by
     coord[a] (1 on the diagonal, sqrt(2) off it). Entry (a, b) of the matrix
     is weight[a, b] * (K[index[0, a, b]] + K[index[1, a, b]]) for the flat
-    r^3 array K[l, k, p] of the column blocks, so one gather fills it.
+    r^3 array K[l, k, p] of the column blocks, so one gather fills it. diag
+    holds the flat positions of the matrix's diagonal.
     """
 
     rows: np.ndarray
@@ -162,6 +171,7 @@ class _NewtonPlan(NamedTuple):
     coord: np.ndarray
     index: np.ndarray
     weight: np.ndarray
+    diag: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,9 +198,10 @@ def _newton_plan(r: int) -> _NewtonPlan:
             if terms:
                 index[:, a, b] = (terms * 2)[:2]
                 weight[a, b] = len(terms) / (coord[a] * coord[b])
-    for arr in (rows, cols, coord, index, weight):
+    diag = np.arange(m) * (m + 1)
+    for arr in (rows, cols, coord, index, weight, diag):
         arr.flags.writeable = False
-    return _NewtonPlan(rows, cols, coord, index, weight)
+    return _NewtonPlan(rows, cols, coord, index, weight, diag)
 
 
 def _row_outer(Xa: np.ndarray) -> np.ndarray:
@@ -209,7 +220,7 @@ def _newton_matrix(XX: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray
     plan = _newton_plan(active.shape[1])
     K = (active.T @ XX).ravel()
     H = plan.weight * K[plan.index].sum(axis=0)
-    H.flat[:: H.shape[0] + 1] += eta
+    H.reshape(-1)[plan.diag] += eta
     return H
 
 
@@ -265,10 +276,10 @@ def ssn_solve(
     thresh = (mu / w)[:, None]
     scale = (2.0 / w)[:, None]
     lam = _sym(np.asarray(lam0, dtype=float)) if lam0 is not None else np.zeros((r, r))
-    fields = functools.partial(_fields, Xa, base, scale, thresh)
+    fields = functools.partial(_fields, Xa, base, scale, thresh, -thresh)
 
     P, V, E = fields(lam)
-    res = float(np.linalg.norm(E))
+    res = math.sqrt(np.vdot(E, E))
     history = [res]
     best_res, best_lam, best_V = res, lam, V
     iters = 0
@@ -290,13 +301,14 @@ def ssn_solve(
             diag = _jacobi_diag(XX, active, eta)
             step = _cg_symmetric(newton_op, -E, diag, rel_tol=min(0.1, res), max_iter=cg_cap)
         # the Newton trial and its halvings, then a hyperplane projection built
-        # from the full trial u, then a verified fixed-point step
+        # from the full trial u, then a verified fixed-point step; lam, E and
+        # every step are exactly symmetric, so each candidate is too
         accepted = False
         st = step
         for j in range(_MAX_BACKTRACKS + 1):
-            cand = _sym(lam + st)
+            cand = lam + st
             Pc, Vc, Ec = fields(cand)
-            res_c = float(np.linalg.norm(Ec))
+            res_c = math.sqrt(np.vdot(Ec, Ec))
             if j == 0:
                 u, Eu, res_u = cand, Ec, res_c
             if res_c <= _NEWTON_ACCEPT * res:
@@ -307,17 +319,17 @@ def ssn_solve(
         if not accepted:
             gap = float(np.sum(Eu * (lam - u)))
             if gap > 0.0 and res_u > 0.0:
-                cand = _sym(lam - (gap / (res_u * res_u)) * Eu)
+                cand = lam - (gap / (res_u * res_u)) * Eu
                 Pc, Vc, Ec = fields(cand)
                 lam, P, V, E = cand, Pc, Vc, Ec
-                res = float(np.linalg.norm(Ec))
+                res = math.sqrt(np.vdot(Ec, Ec))
                 accepted = True
         if not accepted:
             t = 0.5
             for _ in range(_MAX_BACKTRACKS + 1):
-                cand = _sym(lam - t * E)
+                cand = lam - t * E
                 Pc, Vc, Ec = fields(cand)
-                res_c = float(np.linalg.norm(Ec))
+                res_c = math.sqrt(np.vdot(Ec, Ec))
                 if res_c <= res:
                     lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
                     accepted = True

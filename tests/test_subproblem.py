@@ -45,14 +45,15 @@ def dual_map(X, G, metric, mu, lam):
     w = metric.weights()
     scale = (2.0 / w)[:, None]
     thresh = (mu / w)[:, None]
-    P, V, E = _fields(X.data, X.data - G / w[:, None], scale, thresh, lam)
+    P, V, E = _fields(X.data, X.data - G / w[:, None], scale, thresh, -thresh, lam)
     return P, V, E, (np.abs(P) > thresh) * scale
 
 
 def prox(P, w, mu):
     """Row-weighted soft thresholding through _fields: X = 0 and L = 0 leave P as is."""
     n, r = P.shape
-    _, V, _ = _fields(np.zeros((n, r)), P, (2.0 / w)[:, None], (mu / w)[:, None], np.zeros((r, r)))
+    thresh = (mu / w)[:, None]
+    _, V, _ = _fields(np.zeros((n, r)), P, (2.0 / w)[:, None], thresh, -thresh, np.zeros((r, r)))
     return V
 
 
@@ -172,6 +173,37 @@ class TestResidual:
         lam = random_sym(np.random.default_rng(12), 3)
         E = dual_map(X, G, metric, 0.5, lam)[2]
         np.testing.assert_array_equal(E, E.T)
+
+
+class TestKernel:
+    @PROPERTY_SETTINGS
+    @given(
+        r=SUBPROBLEM_R,
+        n_extra=st.integers(0, 8),
+        mu=st.just(0.0) | MU,
+        sigma=SIGMA,
+        seed=SEED,
+        at_zero=st.booleans(),
+    )
+    def test_matches_the_reference_formulas(self, r, n_extra, mu, sigma, seed, at_zero):
+        # P - clip(P, -t, t) and E = M + M^T with M = V^T X round exactly like
+        # sign(P) max(|P| - t, 0) and V^T X + X^T V; at L = 0, P is base
+        # itself, whose entries are drawn at +t, -t, 0 or at random
+        n = r + n_extra
+        X, _, metric = make_instance(n, r, seed, sigma=sigma)
+        rng = np.random.default_rng(seed)
+        w = metric.weights()
+        thresh = (mu / w)[:, None]
+        kind = rng.integers(0, 4, (n, r))
+        base = np.where(
+            kind == 0, thresh, np.where(kind == 1, -thresh, np.where(kind == 2, 0.0, rng.standard_normal((n, r))))
+        )
+        lam = np.zeros((r, r)) if at_zero else random_sym(rng, r)
+        P, V, E = _fields(X.data, base, (2.0 / w)[:, None], thresh, -thresh, lam)
+        if at_zero:
+            np.testing.assert_array_equal(P, base)
+        assert np.array_equal(V, np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0) - X.data)
+        assert np.array_equal(E, V.T @ X.data + X.data.T @ V)
 
 
 class TestJacobian:
