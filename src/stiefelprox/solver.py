@@ -251,7 +251,11 @@ def solve(
     at an accepted iterate is not finite (the last finite iterate is
     returned). The trace holds one record per accepted iteration. Iteration
     k solves its subproblem to max(1e-8 max(1, ||G_k||), FORCING ||V_{k-1}||),
-    iteration 0 to the first term alone. X0 must have the problem's shape.
+    iteration 0 to the first term alone. Its first subproblem pass starts the
+    dual multiplier at L_{k-1} + (L_{k-1} - L_{k-2}), the linear extrapolation
+    of the last two accepted multipliers (iteration 0 at zero, iteration 1 at
+    L_0); a re-solve after a sigma escalation starts from the previous pass's
+    multiplier. X0 must have the problem's shape.
     """
     cfg = config if config is not None else SolverConfig()
     X = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
@@ -275,7 +279,8 @@ def solve(
     # nonmonotone reference the last window_m + 1 (window_m < FLATNESS_WINDOW)
     F_hist: deque = deque([F_cur], maxlen=FLATNESS_WINDOW + 1)
     proj_G = None if pg_mode else project_tangent(X, G).data
-    lam_warm = np.zeros((r, r))
+    # multipliers of the last two accepted subproblems, newest last
+    lam_hist: deque = deque(maxlen=2)
     trace: list[TraceRecord] = []
     stationary_streak = 0
 
@@ -296,6 +301,10 @@ def solve(
         trials_total = 0
         ssn_total = 0
         accepted = False
+        if len(lam_hist) == 2:
+            lam_warm = lam_hist[1] + (lam_hist[1] - lam_hist[0])
+        else:
+            lam_warm = lam_hist[-1] if lam_hist else np.zeros((r, r))
         while not accepted:
             resolves += 1
             metric = DiagonalMetric(d, sigma_k)
@@ -345,6 +354,7 @@ def solve(
                         return SolveResult(X, trace, Status.STALLED, norm_v_sq)
 
         sigma_next = sigma_k
+        lam_hist.append(lam_warm)
         G_new = np.asarray(problem.eval_grad_f(Z.data), dtype=float)
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
             return SolveResult(X, trace, Status.NONFINITE, norm_v_sq)

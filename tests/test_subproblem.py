@@ -400,6 +400,18 @@ class TestSsnSolve:
         assert not res.converged and res.ssn_iters < 20
         assert res.residual_norm == min(res.residual_history) <= 1e-10
 
+    @pytest.mark.parametrize("n, r", [(12, 4), (40, 20)])
+    def test_multiplier_is_exactly_symmetric(self, n, r):
+        # r = 4 takes the direct Newton path, r = 20 the CG path; the start is
+        # symmetrized, and every later candidate is symmetric by construction
+        assert (r <= _DIRECT_MAX_R) == (n == 12)
+        for seed in range(3):
+            X, G, metric = make_instance(n, r, 120 + seed, sigma=0.1)
+            lam0 = np.random.default_rng(seed).standard_normal((r, r))
+            res = ssn_solve(X, G, metric, 0.3, lam0, 1e-12, 100)
+            assert res.ssn_iters > 0
+            assert np.array_equal(res.lam, res.lam.T)
+
     def test_warm_start_reuses_multiplier(self):
         X, G, metric = make_instance(6, 2, 23)
         first = ssn_solve(X, G, metric, 0.2)
