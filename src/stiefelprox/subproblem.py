@@ -265,12 +265,13 @@ def ssn_solve(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if mu < 0:
+    # negated comparisons, so that a nan mu or weight fails them too
+    if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     Xa = X.data
     r = X.r
     w = metric.weights()
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("metric weights must be strictly positive")
     base = Xa - grad_f / w[:, None]
     thresh = (mu / w)[:, None]

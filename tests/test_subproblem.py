@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -418,6 +419,18 @@ class TestSsnSolve:
         again = ssn_solve(X, G, metric, 0.2, first.lam)
         assert again.ssn_iters <= 1
         assert np.linalg.norm(again.v.data - first.v.data) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["nan weight", "nan sigma", "nan mu"])
+    def test_rejects_nan_weights_and_mu(self, case):
+        # a nan slipped past w <= 0 and mu < 0 and gave a non-finite direction
+        X, G, metric = make_instance(5, 2, 25)
+        mu = math.nan if case == "nan mu" else 0.1
+        if case == "nan weight":
+            metric = DiagonalMetric(np.array([math.nan, 1.0, 1.0, 1.0, 1.0]), 0.0)
+        elif case == "nan sigma":
+            metric = DiagonalMetric(metric.d, math.nan)
+        with pytest.raises(ValueError):
+            ssn_solve(X, G, metric, mu)
 
     def test_rejects_bad_arguments(self):
         X, G, metric = make_instance(5, 2, 24)
