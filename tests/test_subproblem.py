@@ -422,7 +422,7 @@ class TestSsnSolve:
 
     @pytest.mark.parametrize("case", ["nan weight", "nan sigma", "nan mu"])
     def test_rejects_nan_weights_and_mu(self, case):
-        # a nan slipped past w <= 0 and mu < 0 and gave a non-finite direction
+        # nan fails every comparison, so w <= 0 and mu < 0 would let it through
         X, G, metric = make_instance(5, 2, 25)
         mu = math.nan if case == "nan mu" else 0.1
         if case == "nan weight":
