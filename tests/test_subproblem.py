@@ -401,13 +401,12 @@ class TestSsnSolve:
         assert not res.converged and res.ssn_iters < 20
         assert res.residual_norm == min(res.residual_history) <= 1e-10
 
-    @pytest.mark.parametrize("n, r", [(12, 4), (40, 20)])
-    def test_multiplier_is_exactly_symmetric(self, n, r):
+    @pytest.mark.parametrize("r", [4, 20])
+    def test_multiplier_is_exactly_symmetric(self, r):
         # r = 4 takes the direct Newton path, r = 20 the CG path; the start is
         # symmetrized, and every later candidate is symmetric by construction
-        assert (r <= _DIRECT_MAX_R) == (n == 12)
         for seed in range(3):
-            X, G, metric = make_instance(n, r, 120 + seed, sigma=0.1)
+            X, G, metric = make_instance(2 * r, r, 120 + seed, sigma=0.1)
             lam0 = np.random.default_rng(seed).standard_normal((r, r))
             res = ssn_solve(X, G, metric, 0.3, lam0, 1e-12, 100)
             assert res.ssn_iters > 0
@@ -420,21 +419,17 @@ class TestSsnSolve:
         assert again.ssn_iters <= 1
         assert np.linalg.norm(again.v.data - first.v.data) <= 1e-8
 
-    @pytest.mark.parametrize("case", ["nan weight", "nan sigma", "nan mu"])
-    def test_rejects_nan_weights_and_mu(self, case):
-        # nan fails every comparison, so w <= 0 and mu < 0 would let it through
-        X, G, metric = make_instance(5, 2, 25)
-        mu = math.nan if case == "nan mu" else 0.1
-        if case == "nan weight":
-            metric = DiagonalMetric(np.array([math.nan, 1.0, 1.0, 1.0, 1.0]), 0.0)
-        elif case == "nan sigma":
-            metric = DiagonalMetric(metric.d, math.nan)
-        with pytest.raises(ValueError):
-            ssn_solve(X, G, metric, mu)
-
     def test_rejects_bad_arguments(self):
         X, G, metric = make_instance(5, 2, 24)
         with pytest.raises(ValueError):
             ssn_solve(X, G, metric, 0.1, max_iter=0)
         with pytest.raises(ValueError):
             ssn_solve(X, G, DiagonalMetric(np.zeros(5), 0.0), 0.1)
+        # nan fails every comparison, so w <= 0 and mu < 0 would let these through
+        for bad_metric, bad_mu in [
+            (DiagonalMetric(np.array([math.nan, 1.0, 1.0, 1.0, 1.0]), 0.0), 0.1),
+            (DiagonalMetric(metric.d, math.nan), 0.1),
+            (metric, math.nan),
+        ]:
+            with pytest.raises(ValueError):
+                ssn_solve(X, G, bad_metric, bad_mu)
