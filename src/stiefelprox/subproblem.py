@@ -276,6 +276,10 @@ def ssn_solve(
     base = Xa - grad_f / w[:, None]
     thresh = (mu / w)[:, None]
     scale = (2.0 / w)[:, None]
+    # 2/mean(w): the Jacobian scales like 1/w and L like w, so eta and the
+    # fixed-point step in these units make the iteration invariant under
+    # rescaling the objective
+    jac_unit = 2.0 * w.size / float(w.sum())
     lam = _sym(np.asarray(lam0, dtype=float)) if lam0 is not None else np.zeros((r, r))
     fields = functools.partial(_fields, Xa, base, scale, thresh, -thresh)
 
@@ -294,7 +298,7 @@ def ssn_solve(
     while not converged and iters < max_iter:
         iters += 1
         active = (np.abs(P) > thresh) * scale
-        eta = min(max(_ETA_SCALE * math.sqrt(res), _ETA_MIN), _ETA_MAX)
+        eta = min(max(_ETA_SCALE * math.sqrt(res), _ETA_MIN), _ETA_MAX) * jac_unit
         if direct:
             step = _direct_step(XX, active, eta, E)
         else:
@@ -326,7 +330,7 @@ def ssn_solve(
                 res = math.sqrt(np.vdot(Ec, Ec))
                 accepted = True
         if not accepted:
-            t = 0.5
+            t = 0.5 / jac_unit
             for _ in range(_MAX_BACKTRACKS + 1):
                 cand = lam - t * E
                 Pc, Vc, Ec = fields(cand)
