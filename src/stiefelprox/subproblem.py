@@ -304,7 +304,11 @@ def ssn_solve(
         else:
             newton_op = functools.partial(_jacobian, Xa, active, eta)
             diag = _jacobi_diag(XX, active, eta)
-            step = _cg_symmetric(newton_op, -E, diag, rel_tol=min(0.1, res), max_iter=cg_cap)
+            # inexact Newton forcing: a linear residual of at most 0.1 ||E||,
+            # shrinking like ||E||^2 but never asked below 0.1 tol, where the
+            # step already lands below tol
+            rel_tol = min(0.1, max(res, 0.1 * tol / res))
+            step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
         # the Newton trial and its halvings, then a hyperplane projection built
         # from the full trial u, then a verified fixed-point step; lam, E and
         # every step are exactly symmetric, so each candidate is too
