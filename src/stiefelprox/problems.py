@@ -32,7 +32,9 @@ class CompositeProblem:
         return float(self.eval_f(X)) + self.mu * float(np.abs(X).sum())
 
 
-def _check_mu(mu: float) -> None:
+def _check_args(n: int, r: int, mu: float) -> None:
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
@@ -56,9 +58,7 @@ def schrodinger_operator(n: int) -> sp.csr_matrix:
 
 def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
-    _check_mu(mu)
+    _check_args(n, r, mu)
     H = schrodinger_operator(n)
     # H = (I - (S + S^T)/2) / dx^2 for the cyclic shift S has eigenvalues
     # (1 - cos(2 pi k/n)) / dx^2, largest at k = n // 2
@@ -90,9 +90,7 @@ def make_spca(
     generated matrix verbatim (e.g. zeros for the flat objective edge case);
     it must be a finite 2-d array with n columns.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
-    _check_mu(mu)
+    _check_args(n, r, mu)
     if data is not None:
         A = np.array(data, dtype=float)
         if A.ndim != 2 or A.shape[1] != n:

@@ -116,12 +116,8 @@ class TangentVector:
     def __rmul__(self, alpha: float) -> TangentVector:
         return _tangent(float(alpha) * self.data, self.base)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def __repr__(self) -> str:
-        return f"TangentVector(shape={self.data.shape}, norm={self.norm:.3e})"
+        return f"TangentVector(shape={self.data.shape}, norm={np.linalg.norm(self.data):.3e})"
 
 
 def _tangent(V: np.ndarray, base: StiefelPoint) -> TangentVector:
@@ -179,12 +175,7 @@ def _retract_cayley(X: np.ndarray, D: np.ndarray) -> np.ndarray:
     Z = X + 0.5 * (P - X @ (P.T @ X))
     # Y = Z + U/2 (I - Vc^T U / 2)^{-1} Vc^T Z
     S = np.eye(2 * r) - 0.5 * (Vc.T @ U)
-    rhs = Vc.T @ Z
-    try:
-        C = np.linalg.solve(S, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot happen for tangent D, see docstring
-        raise np.linalg.LinAlgError(f"Cayley system is singular: {exc}") from exc
-    return Z + 0.5 * (U @ C)
+    return Z + 0.5 * (U @ np.linalg.solve(S, Vc.T @ Z))
 
 
 _RETRACTIONS = {

@@ -15,7 +15,9 @@ problem E(L) := A(V(L)) = 0. E is monotone and piecewise smooth, so a
 safeguarded semismooth Newton iteration drives ||E|| to zero.
 
 Each Newton step solves (Jac + eta I) dL = -E over the r(r+1)/2 unknowns of a
-symmetric dL. Column block l of the Jacobian is K_l = X^T diag(m_l) X, where
+symmetric dL. L carries the units of w and the Jacobian those of 1/w, so eta
+is measured in 2/mean(w), which makes the iteration invariant under rescaling
+the objective. Column block l of the Jacobian is K_l = X^T diag(m_l) X, where
 m_l = J_l * 2/w is column l of the prox-active mask J scaled by the weights;
 with the row outer products of X formed once per solve, all r blocks come
 from one matmul. For r <= _DIRECT_MAX_R the system is assembled in
@@ -51,10 +53,6 @@ _STALL_FACTOR = 0.5
 # where CG needs many iterations, but only for r <= 11 on SPCA(300, r); the
 # measured table is in CHANGES.md.
 _DIRECT_MAX_R = 11
-
-
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
 
 
 def _fields(
@@ -105,12 +103,14 @@ class SubproblemResult:
     ssn_iters: int
     converged: bool
     residual_history: list[float]
+    cg_iters: int = 0  # over all Newton steps; 0 for r <= _DIRECT_MAX_R
+    halvings: int = 0  # halved Newton trials evaluated
 
 
 def _cg_symmetric(
     apply_op, rhs: np.ndarray, diag: np.ndarray, rel_tol: float, max_iter: int
-) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients on symmetric matrices.
+) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned conjugate gradients on symmetric matrices: (x, iterations).
 
     apply_op is self-adjoint and positive definite on symmetric matrices, and
     diag (symmetric, positive) holds its diagonal in the orthonormal basis
@@ -118,23 +118,23 @@ def _cg_symmetric(
     preconditioner divides entrywise by it. Stops once the unpreconditioned
     residual satisfies ||rhs - apply_op(x)|| <= rel_tol ||rhs||, after
     max_iter iterations, or when the curvature <p, apply_op(p)> is not
-    positive.
+    positive. The count is that of operator applications.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     b_norm = math.sqrt(np.vdot(rhs, rhs))
     if b_norm == 0.0:
-        return x
+        return x, 0
     z = r / diag
     p = z.copy()
     rz = np.vdot(r, z)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if math.sqrt(np.vdot(r, r)) <= rel_tol * b_norm:
-            break
+            return x, it
         Ap = apply_op(p)
         pAp = np.vdot(p, Ap)
         if pAp <= 0.0:
-            break
+            return x, it + 1
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -142,7 +142,7 @@ def _cg_symmetric(
         rz_new = np.vdot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x
+    return x, max_iter
 
 
 def _jacobi_diag(X2: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
@@ -247,47 +247,55 @@ def ssn_solve(
 ) -> SubproblemResult:
     """Drive ||E(L)||_F below tol by regularized semismooth Newton steps.
 
-    Each step solves (Jac + eta I) dL = -E (eta ~ 0.2 ||E||^{1/2}), exactly
-    through the assembled r(r+1)/2 x r(r+1)/2 matrix for r <= _DIRECT_MAX_R,
-    and otherwise inexactly by Jacobi-preconditioned CG (unpreconditioned
-    residual below min(0.1, ||E||) ||E||, at most r(r+1)/2 iterations; X o X
+    Each step solves (Jac + eta I) dL = -E (eta ~ 0.2 ||E||^{1/2} in units of
+    2/mean(w), so scaling G, w, mu and lam0 by a power of two scales lam and
+    leaves the rest bitwise unchanged), exactly through the assembled
+    r(r+1)/2 x r(r+1)/2 matrix for r <= _DIRECT_MAX_R, and otherwise inexactly
+    by Jacobi-preconditioned CG (unpreconditioned residual below
+    min(0.1 ||E||, max(||E||^2, 0.1 tol)), at most r(r+1)/2 iterations; X o X
     is formed once per call and the diagonal once per step). It accepts the
     trial, halving it if needed, once it shrinks the residual by a fixed
     factor. Otherwise the full trial u is recycled into a hyperplane-projection
     step L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
     solution set of the monotone equation even when the Jacobian element is
-    (near) singular; a verified fixed-point step L - t E(L) covers the
-    remaining degenerate case. Far below the starting residual, the loop also
-    stops once two steps stagnate or make no progress (a cycle at the roundoff
-    floor). The returned direction is the exact tangent projection of V(L), so
-    tangency holds to machine precision even when the dual loop stops early
-    (converged=False, best iterate returned).
+    (near) singular; a verified fixed-point step L - t E(L) (t in units of
+    mean(w)/2) covers the remaining degenerate case. Far below the starting
+    residual, the loop also stops once two steps stagnate or make no progress
+    (a cycle at the roundoff floor). The returned direction is the exact
+    tangent projection of V(L), so tangency holds to machine precision even
+    when the dual loop stops early (converged=False, best iterate returned).
+    A misshapen grad_f or lam0, or a non-finite one, raises ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    # negated comparisons, so that a nan mu or weight fails them too
+    # negated comparisons, so that a nan mu, tol or weight fails them too
     if not mu >= 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     Xa = X.data
     r = X.r
+    lam = np.zeros((r, r)) if lam0 is None else np.asarray(lam0, dtype=float)
+    if np.shape(grad_f) != Xa.shape or lam.shape != (r, r):
+        raise ValueError(f"grad_f {np.shape(grad_f)} and lam0 {lam.shape} must be {Xa.shape} and {(r, r)}")
+    lam = 0.5 * (lam + lam.T)
     w = metric.weights()
     if not np.all(w > 0):
         raise ValueError("metric weights must be strictly positive")
     base = Xa - grad_f / w[:, None]
     thresh = (mu / w)[:, None]
     scale = (2.0 / w)[:, None]
-    # 2/mean(w): the Jacobian scales like 1/w and L like w, so eta and the
-    # fixed-point step in these units make the iteration invariant under
-    # rescaling the objective
+    # 2/mean(w), the unit of the Jacobian, from one sum
     jac_unit = 2.0 * w.size / float(w.sum())
-    lam = _sym(np.asarray(lam0, dtype=float)) if lam0 is not None else np.zeros((r, r))
     fields = functools.partial(_fields, Xa, base, scale, thresh, -thresh)
 
     P, V, E = fields(lam)
     res = math.sqrt(np.vdot(E, E))
+    if not math.isfinite(res):
+        raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
     history = [res]
     best_res, best_lam, best_V = res, lam, V
-    iters = 0
+    iters = cg_iters = halvings = 0
     converged = res <= tol
     direct = r <= _DIRECT_MAX_R
     # formed once per call: the row outer products of X for the assembled
@@ -304,11 +312,11 @@ def ssn_solve(
         else:
             newton_op = functools.partial(_jacobian, Xa, active, eta)
             diag = _jacobi_diag(XX, active, eta)
-            # inexact Newton forcing: a linear residual of at most 0.1 ||E||,
-            # shrinking like ||E||^2 but never asked below 0.1 tol, where the
-            # step already lands below tol
+            # inexact Newton forcing like ||E||^2, but never below 0.1 tol,
+            # where the step already lands below tol
             rel_tol = min(0.1, max(res, 0.1 * tol / res))
-            step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
+            step, cg_step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
+            cg_iters += cg_step
         # the Newton trial and its halvings, then a hyperplane projection built
         # from the full trial u, then a verified fixed-point step; lam, E and
         # every step are exactly symmetric, so each candidate is too
@@ -325,6 +333,7 @@ def ssn_solve(
                 accepted = True
                 break
             st = 0.5 * st
+        halvings += j
         if not accepted:
             gap = float(np.sum(Eu * (lam - u)))
             if gap > 0.0 and res_u > 0.0:
@@ -372,4 +381,4 @@ def ssn_solve(
 
     if not converged and best_res < res:
         res, lam, V = best_res, best_lam, best_V
-    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history, cg_iters, halvings)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stiefelprox.solver as solver_module
+import stiefelprox.subproblem as subproblem_module
 from stiefelprox import DiagonalMetric, make_spca, random_point, solve, ssn_solve
 from stiefelprox.metric import metric_norm_sq
 from stiefelprox.subproblem import (
@@ -309,9 +310,10 @@ class TestJacobiCg:
         # the preconditioned CG solves (Jac + eta I) D = -E to its tolerance
         E = random_sym(rng, r)
         newton_op = functools.partial(_jacobian, X.data, active, eta)
-        D = _cg_symmetric(newton_op, -E, diag, rel_tol=1e-10, max_iter=10 * r * (r + 1))
+        D, iters = _cg_symmetric(newton_op, -E, diag, rel_tol=1e-10, max_iter=10 * r * (r + 1))
         np.testing.assert_array_equal(D, D.T)
         assert np.linalg.norm(newton_op(D) + E) <= 1e-10 * np.linalg.norm(E)
+        assert 1 <= iters < 10 * r * (r + 1)
 
 
 class TestSsnSolve:
@@ -433,3 +435,79 @@ class TestSsnSolve:
         ]:
             with pytest.raises(ValueError):
                 ssn_solve(X, G, bad_metric, bad_mu)
+        for bad_tol in (-1e-8, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                ssn_solve(X, G, metric, 0.1, tol=bad_tol)
+
+    @pytest.mark.parametrize(
+        "grad_shape, lam_shape, bad_entry",
+        [((16, 1), None, None), ((1, 3), None, None), ((3,), None, None), ((16, 3), (3, 1), None),
+         ((16, 3), None, ("grad", math.nan)), ((16, 3), None, ("grad", math.inf)),
+         ((16, 3), (3, 3), ("lam", math.nan))],
+    )
+    def test_rejects_misshapen_or_nonfinite_input(self, grad_shape, lam_shape, bad_entry):
+        # these broadcast against St(16, 3) or propagate into the direction
+        X, _, metric = make_instance(16, 3, 25)
+        rng = np.random.default_rng(25)
+        G = rng.standard_normal(grad_shape)
+        lam0 = None if lam_shape is None else rng.standard_normal(lam_shape)
+        if bad_entry is not None:
+            (G if bad_entry[0] == "grad" else lam0).flat[0] = bad_entry[1]
+        with pytest.raises(ValueError, match="grad_f|lam0"):
+            ssn_solve(X, G, metric, 0.2, lam0)
+
+    @pytest.mark.parametrize("r", [4, 20])
+    def test_counters_count_cg_iterations_and_halved_trials(self, monkeypatch, r):
+        # every field evaluation is the start, a Newton trial or a halved one,
+        # unless a hyperplane or fixed-point step ran, which these never need
+        counts = {"fields": 0, "jacobian": 0}
+
+        def counting(name, original):
+            def wrapped(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(subproblem_module, "_fields", counting("fields", _fields))
+        monkeypatch.setattr(subproblem_module, "_jacobian", counting("jacobian", _jacobian))
+        halvings = 0
+        for seed in range(4):
+            X, G, metric = make_instance(3 * r, r, 130 + seed, sigma=0.1)
+            counts.update(fields=0, jacobian=0)
+            res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 100)
+            assert res.converged and res.ssn_iters > 0
+            assert counts["fields"] == 1 + res.ssn_iters + res.halvings
+            assert res.cg_iters == counts["jacobian"]
+            assert (res.cg_iters > 0) == (r > _DIRECT_MAX_R)
+            halvings += res.halvings
+        assert halvings > 0
+
+    @PROPERTY_SETTINGS
+    @given(
+        shape=st.sampled_from([(64, 4), (120, 20)]),
+        k=st.integers(-4, 5),
+        mu=MU,
+        sigma=SIGMA,
+        seed=SEED,
+        warm=st.booleans(),
+    )
+    def test_equivariant_under_power_of_two_scaling(self, shape, k, mu, sigma, seed, warm):
+        # scaling G, d, sigma, mu and lam0 by c = 2^k scales the Jacobian by
+        # 1/c and the multiplier by c exactly, and leaves the residuals, the
+        # Newton path and the direction bitwise unchanged; r = 4 takes the
+        # direct Newton path, r = 20 the CG one
+        n, r = shape
+        c = 2.0**k
+        X, G, metric = make_instance(n, r, seed, sigma=sigma)
+        lam0 = random_sym(np.random.default_rng(seed), r) if warm else None
+        base = ssn_solve(X, G, metric, mu, lam0, 1e-10, 100)
+        scaled = ssn_solve(
+            X, c * G, DiagonalMetric(c * metric.d, c * sigma), c * mu, None if lam0 is None else c * lam0, 1e-10, 100
+        )
+        assert base.ssn_iters > 0
+        assert scaled.residual_history == base.residual_history
+        assert np.array_equal(scaled.v.data, base.v.data)
+        assert np.array_equal(scaled.lam, c * base.lam)
+        assert (scaled.ssn_iters, scaled.cg_iters, scaled.halvings, scaled.converged) == (
+            base.ssn_iters, base.cg_iters, base.halvings, base.converged
+        )
