@@ -3,7 +3,8 @@
 Every run regenerates its instance and initial point from (kind, n, r, mu,
 seed) so sweeps are reproducible bit for bit; only the cpu_s column varies
 between repetitions. Runs are independent and execute on a process pool whose
-size is capped by the BENCH_THREADS environment variable.
+size is capped by the BENCH_THREADS environment variable (0 or unset: one
+worker per CPU).
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ def _run_single(task: tuple) -> dict:
 
 
 def _pool_size(n_tasks: int) -> int:
-    cap = int(os.environ.get("BENCH_THREADS", "0") or "0")
+    raw = os.environ.get("BENCH_THREADS", "") or "0"
+    if not raw.isdecimal():
+        raise ValueError(f"BENCH_THREADS must be an integer >= 0 (0 means every CPU), got {raw!r}")
+    cap = int(raw)
     workers = cap if cap > 0 else (os.cpu_count() or 1)
     return max(1, min(workers, n_tasks))
 
@@ -249,9 +253,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overrides=_parse_overrides(args.config),
             trace_dir=args.trace_dir,
         )
+        rows = run_experiment(spec)
     except ValueError as exc:
         raise SystemExit(f"bench: {exc}") from None
-    rows = run_experiment(spec)
     emit_csv(rows, args.out)
     failed = sum(row.failures for row in rows)
     nonconverged = sum(row.nonconverged for row in rows)

@@ -133,6 +133,22 @@ class TestRunExperiment:
         assert len(files) == 2
         assert files[0].read_text().splitlines()[0] == TRACE_CSV_HEADER
 
+    @pytest.mark.parametrize("value, workers", [("", 8), ("0", 8), ("3", 3), ("64", 8)])
+    def test_pool_size_caps_at_bench_threads(self, monkeypatch, value, workers):
+        # 0 or unset means one worker per CPU; never more workers than tasks
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 16)
+        monkeypatch.setenv("BENCH_THREADS", value)
+        assert bench._pool_size(8) == workers
+
+    @pytest.mark.parametrize("value", ["x", "-3", "1.5", " 2"])
+    def test_malformed_bench_threads_rejected(self, monkeypatch, tmp_path, value):
+        monkeypatch.setenv("BENCH_THREADS", value)
+        with pytest.raises(ValueError, match="BENCH_THREADS"):
+            run_experiment(ExperimentSpec(**TINY))
+        with pytest.raises(SystemExit, match="bench: BENCH_THREADS"):
+            main(["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--seeds", "1",
+                  "--out", str(tmp_path / "out.csv")])
+
     def test_parallel_matches_serial(self, monkeypatch):
         spec = ExperimentSpec(**TINY)
         serial = run_experiment(spec)
