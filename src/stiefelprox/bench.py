@@ -133,8 +133,7 @@ def _pool_size(n_tasks: int) -> int:
     raw = os.environ.get("BENCH_THREADS", "") or "0"
     if not raw.isdecimal():
         raise ValueError(f"BENCH_THREADS must be an integer >= 0 (0 means every CPU), got {raw!r}")
-    cap = int(raw)
-    workers = cap if cap > 0 else (os.cpu_count() or 1)
+    workers = int(raw) or os.cpu_count() or 1
     return max(1, min(workers, n_tasks))
 
 

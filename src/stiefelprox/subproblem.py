@@ -285,8 +285,7 @@ def ssn_solve(
     base = Xa - grad_f / w[:, None]
     thresh = (mu / w)[:, None]
     scale = (2.0 / w)[:, None]
-    # 2/mean(w), the unit of the Jacobian, from one sum
-    jac_unit = 2.0 * w.size / float(w.sum())
+    jac_unit = 2.0 * w.size / float(w.sum())  # 2/mean(w), the Jacobian's unit
     fields = functools.partial(_fields, Xa, base, scale, thresh, -thresh)
 
     P, V, E = fields(lam)
@@ -312,8 +311,7 @@ def ssn_solve(
         else:
             newton_op = functools.partial(_jacobian, Xa, active, eta)
             diag = _jacobi_diag(XX, active, eta)
-            # inexact Newton forcing like ||E||^2, but never below 0.1 tol,
-            # where the step already lands below tol
+            # forcing like ||E||^2, but a linear residual of 0.1 tol already reaches tol
             rel_tol = min(0.1, max(res, 0.1 * tol / res))
             step, cg_step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
             cg_iters += cg_step
