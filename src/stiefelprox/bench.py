@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,8 @@ from .problems import make_problem, sparsity
 from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
 
-# CLI and ExperimentSpec names are the enums' values ("nls", "svd", ...)
+# CLI and ExperimentSpec names: make_problem's kinds, and the enums' values ("nls", "svd", ...)
+PROBLEM_NAMES = ("cm", "spca")
 MODE_NAMES = sorted(m.value for m in Mode)
 RETRACTION_NAMES = sorted(k.value for k in RetractionKind)
 
@@ -54,6 +56,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not (self.n_values and self.r_values and self.mu_values and self.modes and self.retractions):
             raise ValueError("every sweep list must be nonempty")
+        if self.problem not in PROBLEM_NAMES:
+            raise ValueError(f"unknown problem {self.problem!r}")
+        for name in ("seeds", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
         for m in self.modes:
@@ -223,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="bench",
         description="Sweep the composite Stiefel solvers over problem grids and seeds.",
     )
-    parser.add_argument("--problem", required=True, choices=("cm", "spca"))
+    parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     parser.add_argument("--n", required=True, type=int, nargs="+", help="column lengths to sweep")
     parser.add_argument("--r", required=True, type=int, nargs="+", help="column counts to sweep")
     parser.add_argument("--mu", required=True, type=float, nargs="+", help="l1 weights to sweep")

@@ -48,8 +48,8 @@ class SolverConfig:
     ARPQN's fixed constants are class-level, readable but not keywords: the
     thresholds and factors of update_sigma, the Armijo slope and backtracking
     factor of line_search, the nonmonotone window, the stopping factor
-    (||V||^2 <= tol_factor * n * r), Newton steps per subproblem and
-    subproblem passes per iteration.
+    (||V||^2 <= tol_factor * n * r, ||w o V||^2 <= L^2 tol_factor * n * r),
+    Newton steps per subproblem and subproblem passes per iteration.
     """
 
     sigma0: float = 1.0
@@ -227,14 +227,15 @@ def update_sigma(sigma: float, rho: float, config: SolverConfig) -> tuple[float,
     return config.gamma2 * sigma, False
 
 
-def pg_baseline_metric(problem: CompositeProblem, n: int) -> DiagonalMetric:
-    """Constant 1/L-step metric on n rows for the proximal-gradient baseline.
+def _lipschitz(problem: CompositeProblem) -> float:
+    """The gradient's Lipschitz constant, floored so a flat objective has a scale."""
+    return max(float(problem.lipschitz_estimate), 1e-3)
 
-    Weight is the gradient's Lipschitz constant, floored at 1e-3 so a flat
-    objective (L = 0) still yields a valid metric.
-    """
-    L = max(float(problem.lipschitz_estimate), 1e-3)
-    return DiagonalMetric(np.full(n, L), 0.0)
+
+def pg_baseline_metric(problem: CompositeProblem, n: int) -> DiagonalMetric:
+    """Constant 1/L-step metric on n rows for the proximal-gradient baseline,
+    with L floored as in _lipschitz."""
+    return DiagonalMetric(np.full(n, _lipschitz(problem)), 0.0)
 
 
 def solve(
@@ -245,7 +246,10 @@ def solve(
     """Minimize f(X) + mu ||X||_1 over the Stiefel manifold from X0.
 
     Stops when ||V||^2 <= tol_factor * n * r (stationarity of the subproblem
-    direction), or at max_outer iterations, or with Status.STALLED when the
+    direction) and the gradient mapping w o V, which does not shrink as the
+    metric weights w grow, satisfies ||w o V||^2 <= L^2 tol_factor * n * r
+    (the same bound in gradient units under the 1/L metric, L floored as in
+    _lipschitz), or at max_outer iterations, or with Status.STALLED when the
     sigma escalation loop exceeds max_inner_sigma passes (the best iterate so
     far is returned), or with Status.NONFINITE when F or the gradient at X0 or
     at an accepted iterate is not finite (the last finite iterate is
@@ -267,6 +271,7 @@ def solve(
     pg_mode = cfg.mode is Mode.PROX_GRAD
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m
     stop_tol = cfg.tol_factor * n * r
+    grad_stop_tol = _lipschitz(problem) ** 2 * stop_tol
 
     memory = LbfgsMemory()
     pg_metric = pg_baseline_metric(problem, n) if pg_mode else None
@@ -316,11 +321,13 @@ def solve(
             if resolves == 1:
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
                 flat = F_hist[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
-                # a direction 1000x below the tolerance needs no confirmation
-                if norm_v_sq <= 1e-6 * stop_tol or (
-                    stationary_streak >= STATIONARITY_CONFIRM and flat
-                ):
-                    return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
+                # a direction 1000x below the tolerance needs no confirmation;
+                # either stop also bounds the gradient mapping w o V (ManPG's
+                # V/t at t = 1/w), since V ~ G/w vanishes under huge weights
+                if norm_v_sq <= 1e-6 * stop_tol or (stationary_streak >= STATIONARITY_CONFIRM and flat):
+                    wV = metric.weights()[:, None] * V
+                    if float(np.vdot(wV, wV)) <= grad_stop_tol:
+                        return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
 
             F_ref = nonmonotone_reference(F_hist, window_m)
             ls = line_search(problem, X, sub.v, metric, F_ref, cfg)

@@ -18,14 +18,11 @@ Each Newton step solves (Jac + eta I) dL = -E over the r(r+1)/2 unknowns of a
 symmetric dL. L carries the units of w and the Jacobian those of 1/w, so eta
 is measured in 2/mean(w), which makes the iteration invariant under rescaling
 the objective. Column block l of the Jacobian is K_l = X^T diag(m_l) X, where
-m_l = J_l * 2/w is column l of the prox-active mask J scaled by the weights;
-with the row outer products of X formed once per solve, all r blocks come
-from one matmul. For r <= _DIRECT_MAX_R the system is assembled in
+m_l = J_l * 2/w is column l of the prox-active mask J scaled by the weights.
+The system is symmetric positive definite, and the step comes from
+matrix-free conjugate gradients preconditioned by its exact diagonal in
 orthonormal symmetric coordinates (diagonal entries, sqrt(2) x off-diagonal
-ones), where it is symmetric positive definite, and solved directly. For
-larger r assembling costs more than it saves, and the step comes from
-matrix-free conjugate gradients instead, preconditioned by the exact diagonal
-of the system in those coordinates, which costs one r x n x r product.
+ones), which costs one r x n x r product.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +44,6 @@ _ETA_MIN = 1e-12
 _ETA_MAX = 1e-2
 _MAX_BACKTRACKS = 10
 _STALL_FACTOR = 0.5
-# Largest r whose Newton system is assembled and solved directly; CG above it.
-# Per Newton step the direct solve was faster for every r <= 16 on CM(128, r),
-# where CG needs many iterations, but only for r <= 11 on SPCA(300, r); the
-# measured table is in CHANGES.md.
-_DIRECT_MAX_R = 11
 
 
 def _fields(
@@ -103,8 +94,10 @@ class SubproblemResult:
     ssn_iters: int
     converged: bool
     residual_history: list[float]
-    cg_iters: int = 0  # over all Newton steps; 0 for r <= _DIRECT_MAX_R
+    cg_iters: int = 0  # CG iterations over all Newton steps
     halvings: int = 0  # halved Newton trials evaluated
+    projections: int = 0  # hyperplane-projection steps taken
+    fixed_points: int = 0  # fixed-point steps accepted
 
 
 def _cg_symmetric(
@@ -156,86 +149,6 @@ def _jacobi_diag(X2: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
     return Q + Q.T + eta
 
 
-class _NewtonPlan(NamedTuple):
-    """Where the entries of the assembled Newton matrix come from, for one r.
-
-    Coordinate a is entry (rows[a], cols[a]) of the upper triangle, scaled by
-    coord[a] (1 on the diagonal, sqrt(2) off it). Entry (a, b) of the matrix
-    is weight[a, b] * (K[index[0, a, b]] + K[index[1, a, b]]) for the flat
-    r^3 array K[l, k, p] of the column blocks, so one gather fills it. diag
-    holds the flat positions of the matrix's diagonal.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    coord: np.ndarray
-    index: np.ndarray
-    weight: np.ndarray
-    diag: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _newton_plan(r: int) -> _NewtonPlan:
-    """The gather plan of the Newton matrix for r columns (read-only arrays).
-
-    With basis matrices B_a (E_kk, or (E_kl + E_lk)/sqrt(2)), the operator
-    D -> M + M^T, M[:, l] = K_l D[:, l], has matrix entries
-    <B_a, M(B_b) + M(B_b)^T> = 2 <B_a, M(B_b)>: the sum of 2 c_a c_b K_l[k, p]
-    over the nonzero entries (k, l) of B_a and (p, l) of B_b in a shared
-    column l, where c_a = 1/coord[a] is the value of those entries. At most
-    two such pairs exist; a single one is listed twice at half weight, and an
-    entry with none gets weight 0.
-    """
-    rows, cols = np.triu_indices(r)
-    m = rows.size
-    coord = np.where(rows == cols, 1.0, math.sqrt(2.0))
-    entries = [{(k, l) for k, l in ((i, j), (j, i))} for i, j in zip(rows, cols)]
-    index = np.zeros((2, m, m), dtype=np.intp)
-    weight = np.zeros((m, m))
-    for a in range(m):
-        for b in range(m):
-            terms = [l * r * r + k * r + p for k, l in entries[a] for p, lb in entries[b] if lb == l]
-            if terms:
-                index[:, a, b] = (terms * 2)[:2]
-                weight[a, b] = len(terms) / (coord[a] * coord[b])
-    diag = np.arange(m) * (m + 1)
-    for arr in (rows, cols, coord, index, weight, diag):
-        arr.flags.writeable = False
-    return _NewtonPlan(rows, cols, coord, index, weight, diag)
-
-
-def _row_outer(Xa: np.ndarray) -> np.ndarray:
-    """Row outer products X_i X_i^T, flattened to an n x r^2 array."""
-    n, r = Xa.shape
-    return (Xa[:, :, None] * Xa[:, None, :]).reshape(n, r * r)
-
-
-def _newton_matrix(XX: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
-    """Matrix of D -> _jacobian(X, active, eta, D) in the coordinates of _newton_plan.
-
-    XX holds the row outer products of X (see _row_outer), active the n x r
-    scaled prox-active mask J o (2/w). Symmetric, and positive definite for
-    eta > 0.
-    """
-    plan = _newton_plan(active.shape[1])
-    K = (active.T @ XX).ravel()
-    H = plan.weight * K[plan.index].sum(axis=0)
-    H.reshape(-1)[plan.diag] += eta
-    return H
-
-
-def _direct_step(XX: np.ndarray, active: np.ndarray, eta: float, E: np.ndarray) -> np.ndarray:
-    """Exact solution D of (Jac + eta I) D = -E through the assembled matrix."""
-    r = E.shape[0]
-    plan = _newton_plan(r)
-    y = np.linalg.solve(_newton_matrix(XX, active, eta), -E[plan.rows, plan.cols] * plan.coord)
-    y /= plan.coord
-    D = np.empty((r, r))
-    D[plan.rows, plan.cols] = y
-    D[plan.cols, plan.rows] = y
-    return D
-
-
 def ssn_solve(
     X: StiefelPoint,
     grad_f: np.ndarray,
@@ -249,21 +162,20 @@ def ssn_solve(
 
     Each step solves (Jac + eta I) dL = -E (eta ~ 0.2 ||E||^{1/2} in units of
     2/mean(w), so scaling G, w, mu and lam0 by a power of two scales lam and
-    leaves the rest bitwise unchanged), exactly through the assembled
-    r(r+1)/2 x r(r+1)/2 matrix for r <= _DIRECT_MAX_R, and otherwise inexactly
-    by Jacobi-preconditioned CG (unpreconditioned residual below
-    min(0.1 ||E||, max(||E||^2, 0.1 tol)), at most r(r+1)/2 iterations; X o X
-    is formed once per call and the diagonal once per step). It accepts the
-    trial, halving it if needed, once it shrinks the residual by a fixed
-    factor. Otherwise the full trial u is recycled into a hyperplane-projection
-    step L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
+    leaves the rest bitwise unchanged) inexactly, by Jacobi-preconditioned CG
+    to an unpreconditioned residual below min(0.1 ||E||, max(||E||^2, 0.1 tol))
+    in at most r(r+1)/2 iterations. It accepts the trial, halving it if needed,
+    once it shrinks the residual by a fixed factor. Otherwise the full trial u
+    is recycled into a hyperplane-projection step
+    L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
     solution set of the monotone equation even when the Jacobian element is
     (near) singular; a verified fixed-point step L - t E(L) (t in units of
-    mean(w)/2) covers the remaining degenerate case. Far below the starting
-    residual, the loop also stops once two steps stagnate or make no progress
-    (a cycle at the roundoff floor). The returned direction is the exact
-    tangent projection of V(L), so tangency holds to machine precision even
-    when the dual loop stops early (converged=False, best iterate returned).
+    mean(w)/2) covers the remaining degenerate case; the result counts both
+    fallbacks. Far below the starting residual, the loop also stops once two
+    steps stagnate or make no progress (a cycle at the roundoff floor). The
+    returned direction is the exact tangent projection of V(L), so tangency
+    holds to machine precision even when the dual loop stops early
+    (converged=False, best iterate returned).
     A misshapen grad_f or lam0, or a non-finite one, raises ValueError.
     """
     if max_iter < 1:
@@ -294,32 +206,25 @@ def ssn_solve(
         raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
     history = [res]
     best_res, best_lam, best_V = res, lam, V
-    iters = cg_iters = halvings = 0
+    iters = cg_iters = halvings = projections = fixed_points = 0
     converged = res <= tol
-    direct = r <= _DIRECT_MAX_R
-    # formed once per call: the row outer products of X for the assembled
-    # matrix, or X o X for the Jacobi diagonal of CG
-    XX = None if converged else _row_outer(Xa) if direct else Xa * Xa
+    X2 = Xa * Xa  # for the Jacobi diagonal of every step
     cg_cap = max(1, r * (r + 1) // 2)
 
     while not converged and iters < max_iter:
         iters += 1
         active = (np.abs(P) > thresh) * scale
         eta = min(max(_ETA_SCALE * math.sqrt(res), _ETA_MIN), _ETA_MAX) * jac_unit
-        if direct:
-            step = _direct_step(XX, active, eta, E)
-        else:
-            newton_op = functools.partial(_jacobian, Xa, active, eta)
-            diag = _jacobi_diag(XX, active, eta)
-            # forcing like ||E||^2, but a linear residual of 0.1 tol already reaches tol
-            rel_tol = min(0.1, max(res, 0.1 * tol / res))
-            step, cg_step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
-            cg_iters += cg_step
+        newton_op = functools.partial(_jacobian, Xa, active, eta)
+        diag = _jacobi_diag(X2, active, eta)
+        # forcing like ||E||^2, but a linear residual of 0.1 tol already reaches tol
+        rel_tol = min(0.1, max(res, 0.1 * tol / res))
+        st, cg_step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
+        cg_iters += cg_step
         # the Newton trial and its halvings, then a hyperplane projection built
         # from the full trial u, then a verified fixed-point step; lam, E and
         # every step are exactly symmetric, so each candidate is too
         accepted = False
-        st = step
         for j in range(_MAX_BACKTRACKS + 1):
             cand = lam + st
             Pc, Vc, Ec = fields(cand)
@@ -340,6 +245,7 @@ def ssn_solve(
                 lam, P, V, E = cand, Pc, Vc, Ec
                 res = math.sqrt(np.vdot(Ec, Ec))
                 accepted = True
+                projections += 1
         if not accepted:
             t = 0.5 / jac_unit
             for _ in range(_MAX_BACKTRACKS + 1):
@@ -349,6 +255,7 @@ def ssn_solve(
                 if res_c <= res:
                     lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
                     accepted = True
+                    fixed_points += 1
                     break
                 t *= 0.5
         if not accepted:
@@ -379,4 +286,5 @@ def ssn_solve(
 
     if not converged and best_res < res:
         res, lam, V = best_res, best_lam, best_V
-    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history, cg_iters, halvings)
+    counts = (cg_iters, halvings, projections, fixed_points)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history, *counts)

@@ -28,7 +28,6 @@ from stiefelprox import (
     ssn_solve,
     DiagonalMetric,
 )
-from stiefelprox.subproblem import _DIRECT_MAX_R
 from oracles import dense_lbfgs_diag, splitting_direction, subproblem_value
 
 
@@ -131,8 +130,8 @@ def test_criterion_5_subproblem_oracle_equivalence():
     for trial in range(56):
         n, r = (6, 2) if trial % 2 == 0 else (10, 3)
         if trial >= 50:
-            # above the direct-solve crossover, so CG computes the Newton steps
-            n, r = _DIRECT_MAX_R + 4, _DIRECT_MAX_R + 1
+            # 78 dual unknowns, so CG takes many iterations per Newton step
+            n, r = 15, 12
         mu = (0.0, 0.1, 1.0)[trial % 3]
         X = random_point(n, r, 500 + trial)
         G = 2.0 * rng.standard_normal((n, r))

@@ -33,6 +33,27 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(**{**TINY, "seeds": 0})
 
+    @pytest.mark.parametrize("seeds", [2.5, True, "2"])
+    def test_non_integer_seeds_rejected(self, seeds):
+        # 2.5 used to fail with a TypeError inside run_experiment, and True
+        # silently ran one seed
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            ExperimentSpec(**{**TINY, "seeds": seeds})
+
+    @pytest.mark.parametrize("base_seed", [0.5, False, None])
+    def test_non_integer_base_seed_rejected(self, base_seed):
+        with pytest.raises(ValueError, match="base_seed must be an integer"):
+            ExperimentSpec(**TINY, base_seed=base_seed)
+
+    def test_numpy_integer_seeds_accepted(self):
+        spec = ExperimentSpec(**{**TINY, "seeds": np.int64(2)}, base_seed=np.int32(3))
+        assert spec.seeds == 2 and spec.base_seed == 3
+
+    def test_unknown_problem_rejected(self):
+        # it used to construct, and then every run failed in make_problem
+        with pytest.raises(ValueError, match="unknown problem 'xx'"):
+            ExperimentSpec(**{**TINY, "problem": "xx"})
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(**TINY, modes=("newton",))

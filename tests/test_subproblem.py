@@ -10,25 +10,15 @@ import stiefelprox.solver as solver_module
 import stiefelprox.subproblem as subproblem_module
 from stiefelprox import DiagonalMetric, make_spca, random_point, solve, ssn_solve
 from stiefelprox.metric import metric_norm_sq
-from stiefelprox.subproblem import (
-    _DIRECT_MAX_R,
-    _cg_symmetric,
-    _direct_step,
-    _fields,
-    _jacobi_diag,
-    _jacobian,
-    _newton_matrix,
-    _row_outer,
-)
+from stiefelprox.subproblem import _cg_symmetric, _fields, _jacobi_diag, _jacobian
 from oracles import kkt_direction, splitting_direction, subproblem_value
 
-# Newton steps are solved directly at the first shape and by CG at the second
-ORACLE_SHAPES = [(6, 2), (_DIRECT_MAX_R + 4, _DIRECT_MAX_R + 1)]
+# a small shape and one with 78 dual unknowns
+ORACLE_SHAPES = [(6, 2), (15, 12)]
 
 # fixed examples, so the suite draws the same instances on every run
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None)
-# both Newton paths: direct up to _DIRECT_MAX_R, CG one above it
-SUBPROBLEM_R = st.integers(1, _DIRECT_MAX_R + 1)
+SUBPROBLEM_R = st.integers(1, 12)
 MU = st.floats(0.0, 2.0)
 SIGMA = st.floats(0.0, 1.0)
 SEED = st.integers(0, 2**32 - 1)
@@ -268,30 +258,8 @@ def symmetric_basis(r):
     return basis
 
 
-class TestNewtonMatrix:
-    @pytest.mark.parametrize("r", sorted({1, 2, 3, 4, _DIRECT_MAX_R}))
-    @pytest.mark.parametrize("mu, mask", [(0.3, "mixed"), (1e6, "dead"), (0.0, "active")])
-    def test_matches_jacobian_apply(self, r, mu, mask):
-        X, G, metric = make_instance(2 * r + 6, r, 30 + r, sigma=0.1)
-        rng = np.random.default_rng(r)
-        _, _, _, active = dual_map(X, G, metric, mu, random_sym(rng, r))
-        J = active > 0
-        assert {"mixed": 0 < J.mean() < 1, "dead": not J.any(), "active": J.all()}[mask]
-        eta = 0.05
-        H = _newton_matrix(_row_outer(X.data), active, eta)
-        basis = symmetric_basis(r)
-        ref = np.array([[np.sum(Ba * _jacobian(X.data, active, eta, Bb)) for Bb in basis] for Ba in basis])
-        np.testing.assert_array_equal(H, H.T)
-        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # the direct step solves (Jac + eta I) D = -E
-        E = random_sym(rng, r)
-        D = _direct_step(_row_outer(X.data), active, eta, E)
-        np.testing.assert_array_equal(D, D.T)
-        assert np.linalg.norm(_jacobian(X.data, active, eta, D) + E) <= 1e-10 * np.linalg.norm(E)
-
-
 class TestJacobiCg:
-    @pytest.mark.parametrize("r", [1, 2, 5, _DIRECT_MAX_R + 1])
+    @pytest.mark.parametrize("r", [1, 2, 5, 12])
     @pytest.mark.parametrize("mu, mask", [(0.3, "mixed"), (1e6, "dead"), (0.0, "active")])
     def test_diagonal_and_solve(self, r, mu, mask):
         X, G, metric = make_instance(2 * r + 6, r, 50 + r, sigma=0.1)
@@ -405,8 +373,8 @@ class TestSsnSolve:
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_multiplier_is_exactly_symmetric(self, r):
-        # r = 4 takes the direct Newton path, r = 20 the CG path; the start is
-        # symmetrized, and every later candidate is symmetric by construction
+        # the start is symmetrized, and every later candidate is symmetric by
+        # construction
         for seed in range(3):
             X, G, metric = make_instance(2 * r, r, 120 + seed, sigma=0.1)
             lam0 = np.random.default_rng(seed).standard_normal((r, r))
@@ -477,10 +445,32 @@ class TestSsnSolve:
             res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 100)
             assert res.converged and res.ssn_iters > 0
             assert counts["fields"] == 1 + res.ssn_iters + res.halvings
-            assert res.cg_iters == counts["jacobian"]
-            assert (res.cg_iters > 0) == (r > _DIRECT_MAX_R)
+            assert res.cg_iters == counts["jacobian"] > 0
+            assert res.projections == res.fixed_points == 0
             halvings += res.halvings
         assert halvings > 0
+
+    def test_counts_hyperplane_projections(self, monkeypatch):
+        # no trial can shrink the residual to zero, so after all halvings every
+        # step is a hyperplane projection built from the full trial, or a
+        # fixed-point step where the projection has no positive gap
+        monkeypatch.setattr(subproblem_module, "_NEWTON_ACCEPT", 0.0)
+        X, G, metric = make_instance(12, 4, 140, sigma=0.1)
+        res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 6)
+        assert res.projections > 0
+        assert res.projections + res.fixed_points == res.ssn_iters == 6
+        assert res.halvings == 6 * subproblem_module._MAX_BACKTRACKS
+        assert res.residual_norm < res.residual_history[0]
+
+    def test_counts_fixed_point_steps(self, monkeypatch):
+        # a zero Newton step gives a hyperplane gap of zero, so each step
+        # falls through to the verified fixed-point step
+        monkeypatch.setattr(subproblem_module, "_cg_symmetric", lambda op, rhs, *a, **k: (np.zeros_like(rhs), 0))
+        X, G, metric = make_instance(12, 4, 141, sigma=0.1)
+        res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 6)
+        assert res.ssn_iters == res.fixed_points == 6
+        assert res.projections == 0
+        assert res.residual_history == sorted(res.residual_history, reverse=True)
 
     @PROPERTY_SETTINGS
     @given(
@@ -494,8 +484,7 @@ class TestSsnSolve:
     def test_equivariant_under_power_of_two_scaling(self, shape, k, mu, sigma, seed, warm):
         # scaling G, d, sigma, mu and lam0 by c = 2^k scales the Jacobian by
         # 1/c and the multiplier by c exactly, and leaves the residuals, the
-        # Newton path and the direction bitwise unchanged; r = 4 takes the
-        # direct Newton path, r = 20 the CG one
+        # Newton path and the direction bitwise unchanged
         n, r = shape
         c = 2.0**k
         X, G, metric = make_instance(n, r, seed, sigma=sigma)
