@@ -35,7 +35,6 @@ from .problems import (
     make_cm,
     make_problem,
     make_spca,
-    schrodinger_operator,
     sparsity,
 )
 
@@ -47,7 +46,7 @@ __all__ = [
     "Mode", "SolveResult", "SolverConfig", "Status", "TraceRecord",
     "line_search", "nonmonotone_reference", "solve", "write_trace_csv",
     "CompositeProblem", "make_cm", "make_problem",
-    "make_spca", "schrodinger_operator", "sparsity",
+    "make_spca", "sparsity",
 ]
 
 __version__ = "0.1.0"

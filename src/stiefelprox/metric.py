@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,19 +38,18 @@ class LbfgsMemory:
     """
 
     capacity: int = 5
-    theta_floor: float = 1e-3
     theta: float = 1.0
     pairs: list[CurvaturePair] = field(default_factory=list)
     _work: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0)), init=False, repr=False, compare=False
     )
 
+    theta_floor: ClassVar[float] = 1e-3  # lower bound on theta, readable but not a keyword
+
     def __post_init__(self) -> None:
         capacity = self.capacity
         if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity < 1:
             raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
-        if not (0.0 < self.theta_floor < math.inf):
-            raise ValueError(f"theta_floor must be positive and finite, got {self.theta_floor!r}")
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         """Store a new raw pair: refresh theta, damp, append, trim to capacity.

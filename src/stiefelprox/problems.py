@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 SPARSITY_THRESHOLD = 1e-5
 SPCA_SAMPLES = 50
@@ -39,37 +38,45 @@ def _check_args(n: int, r: int, mu: float) -> None:
         raise ValueError(f"mu must be nonnegative, got {mu}")
 
 
-def schrodinger_operator(n: int) -> sp.csr_matrix:
-    """-1/2 of the periodic second-order central-difference Laplacian on [0, 50].
+def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
+    """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X.
 
-    Grid spacing dx = 50/n; the periodic closure adds the corner couplings
-    (offsets +-(n-1)), so row sums vanish (the constant vector is the null
-    direction).
+    H is -1/2 of the periodic second-order central-difference Laplacian on
+    [0, 50] with n >= 4 grid points, spacing dx = 50/n: 1/dx^2 on the
+    diagonal and -1/(2 dx^2) on the two cyclic neighbours, so row sums vanish
+    (the constant vector is the null direction). H X is applied as a stencil
+    that sums each row in increasing column order, which rounds exactly like
+    the product with H stored as a sparse CSR matrix.
     """
+    _check_args(n, r, mu)
     if n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
     dx = 50.0 / n
     inv = 1.0 / (dx * dx)
     off = -0.5 * inv
-    return sp.diags(
-        [off, off, inv, off, off], offsets=(1 - n, -1, 0, 1, n - 1), shape=(n, n), format="csr"
-    )
-
-
-def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
-    """Compressed-modes instance: f(X) = tr(X^T H X), grad f = 2 H X."""
-    _check_args(n, r, mu)
-    H = schrodinger_operator(n)
     # H = (I - (S + S^T)/2) / dx^2 for the cyclic shift S has eigenvalues
     # (1 - cos(2 pi k/n)) / dx^2, largest at k = n // 2
-    dx = 50.0 / n
     L = 2.0 * (1.0 - np.cos(2.0 * np.pi * (n // 2) / n)) / (dx * dx)
 
+    def apply_h(X: np.ndarray) -> np.ndarray:
+        # row i sums off x_{i-1}, inv x_i, off x_{i+1} in column order; row 0
+        # ends with the corner off x_{n-1}, row n-1 starts with off x_0. The
+        # CSR sums start at +0.0, so a row of -0.0 terms gives +0.0 there too
+        side = off * X
+        Y = inv * X
+        Y += 0.0
+        last = (side[0] + side[-2]) + Y[-1]
+        Y[1:] += side[:-1]
+        Y[:-1] += side[1:]
+        Y[0] += side[-1]
+        Y[-1] = last
+        return Y
+
     def eval_f(X: np.ndarray) -> float:
-        return float(np.sum(X * (H @ X)))
+        return float(np.sum(X * apply_h(X)))
 
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
-        return 2.0 * (H @ X)
+        return 2.0 * apply_h(X)
 
     desc = {"kind": "cm", "n": n, "r": r, "mu": mu, "seed": None}
     return CompositeProblem(eval_f, eval_grad_f, float(mu), L, desc)

@@ -93,7 +93,6 @@ class SubproblemResult:
     residual_norm: float
     ssn_iters: int
     converged: bool
-    residual_history: list[float]
     cg_iters: int = 0  # CG iterations over all Newton steps
     halvings: int = 0  # halved Newton trials evaluated
     projections: int = 0  # hyperplane-projection steps taken
@@ -204,7 +203,9 @@ def ssn_solve(
     res = math.sqrt(np.vdot(E, E))
     if not math.isfinite(res):
         raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
-    history = [res]
+    # for the bailout: its threshold and the accepted residuals one and two
+    # steps back (inf until there are two steps)
+    bail_below, res_older, res_old = 1e-3 * max(1.0, res), math.inf, res
     best_res, best_lam, best_V = res, lam, V
     iters = cg_iters = halvings = projections = fixed_points = 0
     converged = res <= tol
@@ -260,7 +261,6 @@ def ssn_solve(
                 t *= 0.5
         if not accepted:
             break
-        history.append(res)
         if res < best_res:
             best_res, best_lam, best_V = res, lam, V
         converged = res <= tol
@@ -271,20 +271,13 @@ def ssn_solve(
         # steps means a cycle at the roundoff floor (only a hyperplane step
         # can raise the residual); either way the best iterate is already as
         # good as this solve will get
-        if (
-            len(history) >= 3
-            and res <= 1e-3 * max(1.0, history[0])
-            and (
-                history[-1] >= history[-3]
-                or (
-                    history[-1] >= _STALL_FACTOR * history[-2]
-                    and history[-2] >= _STALL_FACTOR * history[-3]
-                )
-            )
+        if res <= bail_below and (
+            res >= res_older or (res >= _STALL_FACTOR * res_old and res_old >= _STALL_FACTOR * res_older)
         ):
             break
+        res_older, res_old = res_old, res
 
     if not converged and best_res < res:
         res, lam, V = best_res, best_lam, best_V
     counts = (cg_iters, halvings, projections, fixed_points)
-    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, history, *counts)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, *counts)

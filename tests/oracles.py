@@ -1,12 +1,26 @@
 """Slow independent references used to pin expected values in the tests.
 
-Nothing here shares code with the library paths it checks: projections go
-through an explicit tangent basis, the quasi-Newton diagonal through the dense
-n x n recursion, and the subproblem through a dense KKT solve (smooth case) or
-a three-operator proximal splitting iteration (l1 case).
+Nothing here shares code with the library paths it checks: the
+compressed-modes operator is a dense matrix written from its formula,
+projections go through an explicit tangent basis, the quasi-Newton diagonal
+through the dense n x n recursion, and the subproblem through a dense KKT
+solve (smooth case) or a three-operator proximal splitting iteration (l1
+case).
 """
 
 import numpy as np
+
+
+def cm_operator(n: int) -> np.ndarray:
+    """Dense compressed-modes H: -1/2 of the periodic central-difference
+    Laplacian on [0, 50] with n points, (n/50)^2 on the diagonal and
+    -(n/50)^2 / 2 on the two cyclic neighbours of each row."""
+    inv = (n / 50.0) ** 2
+    H = np.zeros((n, n))
+    for i in range(n):
+        H[i, i] = inv
+        H[i, (i - 1) % n] = H[i, (i + 1) % n] = -0.5 * inv
+    return H
 
 
 def tangent_basis(X: np.ndarray) -> np.ndarray:

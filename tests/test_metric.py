@@ -36,9 +36,12 @@ def insert_degenerate(mem, kind, at, rng):
     mem.pairs[at:at] = new
 
 
-def pushed(s, y, theta_floor=1e-3):
+FLOOR = LbfgsMemory.theta_floor
+
+
+def pushed(s, y):
     """A fresh memory after one push of the raw pair (s, y)."""
-    mem = LbfgsMemory(capacity=5, theta_floor=theta_floor)
+    mem = LbfgsMemory(capacity=5)
     mem.push(s, y)
     return mem
 
@@ -58,20 +61,19 @@ class TestDampPair:
         rng = np.random.default_rng(0)
         s = rng.standard_normal((6, 2))
         y = -s  # negative curvature: theta falls to the floor and damping is forced
-        theta = 0.7
-        mem = pushed(s, y, theta_floor=theta)
-        assert mem.theta == theta
-        target = 0.25 * theta * float(np.sum(s * s))
+        mem = pushed(s, y)
+        assert mem.theta == FLOOR
+        target = 0.25 * FLOOR * float(np.sum(s * s))
         assert mem.pairs[-1].s_dot_y == pytest.approx(target, rel=1e-12)
 
     def test_orthogonal_hand_case(self):
-        # y perpendicular to s, so theta = floor = 1 and tr(s^T s) = 4:
-        # beta = 0.75, tr(s^T ybar) = 1
+        # y perpendicular to s, so theta = floor and tr(s^T s) = 4:
+        # beta = 0.75, tr(s^T ybar) = floor
         s = np.array([[2.0], [0.0]])
         y = np.array([[0.0], [3.0]])
-        pair = pushed(s, y, theta_floor=1.0).pairs[-1]
-        assert pair.s_dot_y == pytest.approx(1.0)
-        np.testing.assert_allclose(pair.y_damped, 0.75 * y + 0.25 * s)
+        pair = pushed(s, y).pairs[-1]
+        assert pair.s_dot_y == pytest.approx(FLOOR)
+        np.testing.assert_allclose(pair.y_damped, 0.75 * y + 0.25 * FLOOR * s)
 
     def test_zero_displacement_rejected(self):
         # the pair is not stored and theta keeps its previous value
@@ -81,37 +83,38 @@ class TestDampPair:
         assert len(mem.pairs) == 1 and mem.pairs[0] is pair
         assert mem.theta == theta
 
-    def test_nonpositive_theta_rejected(self):
-        for floor in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="theta_floor"):
-                LbfgsMemory(theta_floor=floor)
-
 
 class TestThetaInit:
     # theta as LbfgsMemory.push refreshes it from the latest raw pair
 
+    def test_floor_is_a_class_constant(self):
+        assert FLOOR == 1e-3
+        with pytest.raises(TypeError):
+            LbfgsMemory(theta_floor=1.0)
+
     def test_identical_inputs(self):
         s = np.random.default_rng(1).standard_normal((5, 2))
-        assert pushed(s, s, 1e-3).theta == pytest.approx(1.0)
-        assert pushed(s, s, 2.0).theta == 2.0
+        assert pushed(s, s).theta == pytest.approx(1.0)
+        # a quotient below the floor is raised to it
+        assert pushed(s, 0.5 * FLOOR * s).theta == FLOOR
 
     def test_scaled_inputs(self):
         s = np.random.default_rng(2).standard_normal((5, 2))
-        assert pushed(s, 2.0 * s, 1e-3).theta == pytest.approx(2.0)
+        assert pushed(s, 2.0 * s).theta == pytest.approx(2.0)
 
     def test_nonpositive_curvature_floors(self):
         s = np.array([[1.0], [0.0]])
         y = np.array([[0.0], [1.0]])  # tr(s^T y) = 0
-        assert pushed(s, y, 1e-3).theta == 1e-3
-        assert pushed(s, -s, 1e-3).theta == 1e-3
+        assert pushed(s, y).theta == FLOOR
+        assert pushed(s, -s).theta == FLOOR
 
     def test_roundoff_level_curvature_floors(self):
         # s and y orthogonal up to roundoff: tr(s^T y) / (||s|| ||y||) = 1e-20
         # would give theta = 1e20 * ||y|| / ||s||
         s = np.array([[1.0], [1e-20]])
         y = np.array([[0.0], [1.0]])
-        assert pushed(s, y, 1e-3).theta == 1e-3
-        assert pushed(1e-18 * s, y, 1e-3).theta == 1e-3
+        assert pushed(s, y).theta == FLOOR
+        assert pushed(1e-18 * s, y).theta == FLOOR
 
 
 class TestBuildDiag:

@@ -12,7 +12,11 @@ from stiefelprox import (
     retract,
     sparsity,
 )
-from stiefelprox.problems import schrodinger_operator
+from oracles import cm_operator
+
+# grid sizes and column counts on which the stencil must round like CSR
+CSR_SIZES = [4, 5, 8, 64, 65, 128, 256, 300, 512]
+CSR_COLUMNS = [1, 2, 4, 10, 20]
 
 
 def fd_gradient_check(prob, X, seed, rel=1e-5):
@@ -27,36 +31,58 @@ def fd_gradient_check(prob, X, seed, rel=1e-5):
         assert abs(fd - np.sum(G * D)) <= rel * max(1.0, abs(fd))
 
 
+def stencil_matrix(n):
+    """H as make_cm applies it: the gradient 2 H X at X = I, halved (exact)."""
+    return make_cm(n, 1, 0.0).eval_grad_f(np.eye(n)) / 2.0
+
+
 class TestSchrodingerOperator:
+    # the compressed-modes H, which make_cm applies as a periodic stencil
+
     def test_stencil_row_hand_case(self):
-        H = schrodinger_operator(4).toarray()
+        H = stencil_matrix(4)
         dx = 50.0 / 4
         inv = 1.0 / dx**2
         np.testing.assert_allclose(H[0], [inv, -0.5 * inv, 0.0, -0.5 * inv])
         np.testing.assert_allclose(H, H.T)
 
     def test_periodic_row_sums_vanish(self):
-        H = schrodinger_operator(16)
-        np.testing.assert_allclose(H @ np.ones(16), 0.0, atol=1e-12)
+        G = make_cm(16, 1, 0.0).eval_grad_f(np.ones((16, 1)))
+        np.testing.assert_allclose(G, 0.0, atol=1e-12)
 
     def test_positive_semidefinite(self):
-        H = schrodinger_operator(32).toarray()
-        assert np.linalg.eigvalsh(H).min() >= -1e-10
+        assert np.linalg.eigvalsh(stencil_matrix(32)).min() >= -1e-10
 
     def test_rejects_tiny_grids(self):
-        with pytest.raises(ValueError):
-            schrodinger_operator(3)
+        with pytest.raises(ValueError, match="n >= 4"):
+            make_cm(3, 1, 0.1)
 
     @pytest.mark.parametrize("n", [4, 5, 64])
     def test_equals_hand_built_periodic_stencil(self, n):
-        inv = (n / 50.0) ** 2
-        dense = np.zeros((n, n))
-        for i in range(n):
-            dense[i, i] = inv
-            dense[i, (i - 1) % n] = dense[i, (i + 1) % n] = -0.5 * inv
-        H = schrodinger_operator(n)
-        assert isinstance(H, sp.csr_matrix)
-        np.testing.assert_allclose(H.toarray(), dense, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(stencil_matrix(n), cm_operator(n), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", CSR_SIZES)
+    def test_gradient_equals_the_csr_product_bitwise(self, n):
+        # the stencil sums each row in CSR's column order from +0.0, so it
+        # matches 2 (H @ X) to the bit, signed zeros included
+        inv = 1.0 / (50.0 / n) ** 2
+        off = -0.5 * inv
+        H = sp.diags([off, off, inv, off, off], offsets=(1 - n, -1, 0, 1, n - 1), shape=(n, n), format="csr")
+        rng = np.random.default_rng(n)
+        grad = make_cm(n, 1, 0.1).eval_grad_f
+        for r in CSR_COLUMNS:
+            X = rng.standard_normal((n, r))
+            expected = 2.0 * (H @ X)
+            assert grad(X).tobytes() == expected.tobytes()
+            # exact zeros of both signs; row 1 sums only -0.0 terms, which
+            # CSR rounds to +0.0
+            X[rng.random((n, r)) < 0.5] = 0.0
+            X[rng.random((n, r)) < 0.5] = -0.0
+            X[0] = X[2] = 0.0
+            X[1] = -0.0
+            expected = 2.0 * (H @ X)
+            assert grad(X).tobytes() == expected.tobytes()
+            assert not np.signbit(expected[1]).any()
 
 
 class TestCompressedModes:
@@ -74,8 +100,7 @@ class TestCompressedModes:
 
     @pytest.mark.parametrize("n", [4, 5, 7, 64, 65])
     def test_lipschitz_constant_is_twice_the_largest_eigenvalue(self, n):
-        H = schrodinger_operator(n).toarray()
-        L = 2.0 * np.linalg.eigvalsh(H)[-1]
+        L = 2.0 * np.linalg.eigvalsh(cm_operator(n))[-1]
         assert make_cm(n, 2, 0.1).lipschitz_estimate == pytest.approx(L, rel=1e-12)
 
     def test_objective_nonnegative_up_to_null_direction(self):

@@ -29,7 +29,7 @@ from stiefelprox import (
     ssn_solve,
     write_trace_csv,
 )
-from stiefelprox.problems import make_problem, schrodinger_operator
+from stiefelprox.problems import make_problem
 from stiefelprox.solver import (
     FLATNESS_WINDOW,
     FORCING,
@@ -39,6 +39,7 @@ from stiefelprox.solver import (
     pg_baseline_metric,
     update_sigma,
 )
+from oracles import cm_operator
 
 # fixed examples, so the suite draws the same instances on every run
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -312,8 +313,7 @@ class TestSolve:
         # mu = 0 from an exact invariant subspace: gradient projects to zero
         n, r = 24, 3
         prob = make_cm(n, r, 0.0)
-        H = schrodinger_operator(n).toarray()
-        _, vecs = np.linalg.eigh(H)
+        _, vecs = np.linalg.eigh(cm_operator(n))
         res = solve(prob, vecs[:, :r])
         assert res.status is Status.CONVERGED
         assert len(res.trace) == 0

@@ -49,6 +49,28 @@ def prox(P, w, mu):
     return V
 
 
+def record_residuals(mp):
+    """Patch the kernels through mp; the returned function gives the residual
+    history of the ssn_solve call made since: the starting residual, then
+    that of each iteration's accepted candidate, which is the last field
+    evaluation before the next CG solve (every iteration here accepts one)."""
+    evaluated = [[]]  # residuals of the start, then of each iteration
+    cg = subproblem_module._cg_symmetric
+
+    def fields(*args):
+        P, V, E = _fields(*args)
+        evaluated[-1].append(math.sqrt(np.vdot(E, E)))
+        return P, V, E
+
+    def cg_step(*args, **kwargs):
+        evaluated.append([])
+        return cg(*args, **kwargs)
+
+    mp.setattr(subproblem_module, "_fields", fields)
+    mp.setattr(subproblem_module, "_cg_symmetric", cg_step)
+    return lambda: [step[-1] for step in evaluated]
+
+
 def assert_prox_optimal(Y, P, w, mu, tol):
     """Subgradient conditions of Y = argmin mu ||Y||_1 + 1/2 tr((Y-P)^T diag(w) (Y-P)):
     w (y - p) + mu sign(y) = 0 on the support, |w p| <= mu off the support."""
@@ -346,14 +368,18 @@ class TestSsnSolve:
             bound = -0.5 * metric_norm_sq(metric, V) + tol * np.linalg.norm(V)
             assert phi_diff <= bound + 1e-10
 
-    def test_residual_history_reaches_tolerance(self):
+    def test_residual_reaches_tolerance(self, monkeypatch):
         X, G, metric = make_instance(6, 2, 22)
         tol = 1e-10 * max(1.0, np.linalg.norm(G))
+        history = record_residuals(monkeypatch)
         res = ssn_solve(X, G, metric, 0.3, None, tol, 100)
         assert res.converged
-        assert res.residual_history[-1] <= tol
-        assert res.residual_norm == res.residual_history[-1]
-        assert res.residual_norm <= res.residual_history[0]
+        assert len(history()) == res.ssn_iters + 1
+        assert res.residual_norm == history()[-1] <= tol
+        assert res.residual_norm <= history()[0]
+        # it is the residual at the returned multiplier
+        _, _, E, _ = dual_map(X, G, metric, 0.3, res.lam)
+        assert res.residual_norm == math.sqrt(np.vdot(E, E))
 
     def test_stops_when_cycling_at_the_roundoff_floor(self, monkeypatch):
         # the last subproblem of SPCA(40,12,0.5) seed 0, asked below its
@@ -367,9 +393,11 @@ class TestSsnSolve:
 
         monkeypatch.setattr(solver_module, "ssn_solve", recording)
         solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
+        history = record_residuals(monkeypatch)
         res = ssn_solve(*calls[-1], 1e-11, 200)
         assert not res.converged and res.ssn_iters < 20
-        assert res.residual_norm == min(res.residual_history) <= 1e-10
+        assert len(history()) == res.ssn_iters + 1
+        assert res.residual_norm == min(history()) <= 1e-10
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_multiplier_is_exactly_symmetric(self, r):
@@ -460,17 +488,21 @@ class TestSsnSolve:
         assert res.projections > 0
         assert res.projections + res.fixed_points == res.ssn_iters == 6
         assert res.halvings == 6 * subproblem_module._MAX_BACKTRACKS
-        assert res.residual_norm < res.residual_history[0]
+        _, _, E0, _ = dual_map(X, G, metric, 0.5, np.zeros((4, 4)))
+        assert res.residual_norm < math.sqrt(np.vdot(E0, E0))
 
     def test_counts_fixed_point_steps(self, monkeypatch):
         # a zero Newton step gives a hyperplane gap of zero, so each step
         # falls through to the verified fixed-point step
         monkeypatch.setattr(subproblem_module, "_cg_symmetric", lambda op, rhs, *a, **k: (np.zeros_like(rhs), 0))
+        history = record_residuals(monkeypatch)
         X, G, metric = make_instance(12, 4, 141, sigma=0.1)
         res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 6)
         assert res.ssn_iters == res.fixed_points == 6
         assert res.projections == 0
-        assert res.residual_history == sorted(res.residual_history, reverse=True)
+        assert len(history()) == 7
+        assert history() == sorted(history(), reverse=True)
+        assert res.residual_norm == history()[-1]
 
     @PROPERTY_SETTINGS
     @given(
@@ -489,12 +521,18 @@ class TestSsnSolve:
         c = 2.0**k
         X, G, metric = make_instance(n, r, seed, sigma=sigma)
         lam0 = random_sym(np.random.default_rng(seed), r) if warm else None
-        base = ssn_solve(X, G, metric, mu, lam0, 1e-10, 100)
-        scaled = ssn_solve(
-            X, c * G, DiagonalMetric(c * metric.d, c * sigma), c * mu, None if lam0 is None else c * lam0, 1e-10, 100
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            base_history = record_residuals(mp)
+            base = ssn_solve(X, G, metric, mu, lam0, 1e-10, 100)
+        with pytest.MonkeyPatch.context() as mp:
+            scaled_history = record_residuals(mp)
+            scaled = ssn_solve(
+                X, c * G, DiagonalMetric(c * metric.d, c * sigma), c * mu, None if lam0 is None else c * lam0,
+                1e-10, 100,
+            )
         assert base.ssn_iters > 0
-        assert scaled.residual_history == base.residual_history
+        assert scaled_history() == base_history()
+        assert scaled.residual_norm == base.residual_norm
         assert np.array_equal(scaled.v.data, base.v.data)
         assert np.array_equal(scaled.lam, c * base.lam)
         assert (scaled.ssn_iters, scaled.cg_iters, scaled.halvings, scaled.converged) == (
