@@ -22,11 +22,16 @@ class CurvaturePair:
 
     s_dot_y = tr(s^T y_damped) is cached; damping guarantees
     s_dot_y >= 0.25 * theta * tr(s^T s) with theta the scale used at damping time.
+    s_dot_s = tr(s^T s) is computed once at construction, for build_diag.
     """
 
     s: np.ndarray
     y_damped: np.ndarray
     s_dot_y: float
+    s_dot_s: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "s_dot_s", float(np.vdot(self.s, self.s)))
 
 
 @dataclass
@@ -131,7 +136,7 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
             P = W[:, :lo]
             U = theta * s + P @ ((P.T @ s) * scale[:lo])
         c = float(np.vdot(s, U))
-        if c <= 1e-12 * float(np.vdot(s, s)):
+        if c <= 1e-12 * pair.s_dot_s:
             W[:, lo:hi] = 0.0
             continue
         W[:, lo:mid] = U

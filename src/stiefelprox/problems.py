@@ -73,7 +73,7 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
         return Y
 
     def eval_f(X: np.ndarray) -> float:
-        return float(np.sum(X * apply_h(X)))
+        return float((X * apply_h(X)).sum())
 
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return 2.0 * apply_h(X)
@@ -109,11 +109,13 @@ def make_spca(
         A -= A.mean(axis=0, keepdims=True)
         norms = np.linalg.norm(A, axis=0, keepdims=True)
         A /= np.where(norms == 0.0, 1.0, norms)
-    L = 2.0 * float(np.linalg.norm(A, 2)) ** 2
+    # ||A||_2^2 is the largest eigenvalue of the smaller Gram matrix; no rows give 0
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    L = 2.0 * float(np.linalg.eigvalsh(gram).max(initial=0.0))
 
     def eval_f(X: np.ndarray) -> float:
         AX = A @ X
-        return -float(np.sum(AX * AX))
+        return -float((AX * AX).sum())
 
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return -2.0 * (A.T @ (A @ X))

@@ -171,7 +171,7 @@ def line_search(
     quad = metric_norm_sq(metric, v.data)
     alpha = 1.0
     for backtracks in range(LS_TRIALS):
-        Z = retract(X, alpha * v, config.retraction)
+        Z = retract(X, v if alpha == 1.0 else alpha * v, config.retraction)
         F_trial = problem.objective(Z.data)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
             return LineSearchResult(alpha, Z, backtracks, F_trial, quad)
@@ -298,7 +298,7 @@ def solve(
             d = np.ones(n) if not memory.pairs else build_diag(memory, n)
         # forcing by ||V|| of the last accepted direction; none before iteration 0
         norm_v_prev = trace[-1].normV if trace else 0.0
-        ssn_tol = max(1e-8 * max(1.0, float(np.linalg.norm(G))), FORCING * norm_v_prev)
+        ssn_tol = max(1e-8 * max(1.0, math.sqrt(np.vdot(G, G))), FORCING * norm_v_prev)
 
         resolves = 0
         rejected: list[float] = []
@@ -347,7 +347,7 @@ def solve(
             phi_step = (
                 alpha * float(np.vdot(G, V))
                 + 0.5 * alpha * alpha * quad
-                + mu * float(np.abs(X.data + alpha * V).sum())
+                + mu * float(np.abs(X.data + (V if alpha == 1.0 else alpha * V)).sum())
             )
             rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
             sigma_used = sigma_k

@@ -112,13 +112,13 @@ def _cg_symmetric(
     max_iter iterations, or when the curvature <p, apply_op(p)> is not
     positive. The count is that of operator applications.
     """
-    x = np.zeros_like(rhs)
+    x = np.zeros(rhs.shape)
     r = rhs.copy()
     b_norm = math.sqrt(np.vdot(rhs, rhs))
     if b_norm == 0.0:
         return x, 0
     z = r / diag
-    p = z.copy()
+    p = z  # z is rebound below, never written in place
     rz = np.vdot(r, z)
     for it in range(max_iter):
         if math.sqrt(np.vdot(r, r)) <= rel_tol * b_norm:
@@ -191,7 +191,7 @@ def ssn_solve(
         raise ValueError(f"grad_f {np.shape(grad_f)} and lam0 {lam.shape} must be {Xa.shape} and {(r, r)}")
     lam = 0.5 * (lam + lam.T)
     w = metric.weights()
-    if not np.all(w > 0):
+    if not (w > 0).all():
         raise ValueError("metric weights must be strictly positive")
     base = Xa - grad_f / w[:, None]
     thresh = (mu / w)[:, None]
@@ -239,7 +239,7 @@ def ssn_solve(
             st = 0.5 * st
         halvings += j
         if not accepted:
-            gap = float(np.sum(Eu * (lam - u)))
+            gap = float((Eu * (lam - u)).sum())
             if gap > 0.0 and res_u > 0.0:
                 cand = lam - (gap / (res_u * res_u)) * Eu
                 Pc, Vc, Ec = fields(cand)

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import stiefelprox
+from stiefelprox import make_cm, make_spca, random_point, solve
 
 PACKAGE = Path(stiefelprox.__file__).resolve().parent
 
@@ -55,6 +58,25 @@ def test_bench_module_runs_without_a_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "--problem" in proc.stdout
+
+
+def test_solve_calls_no_numpy_python_wrappers(monkeypatch):
+    # on 64 x 4 arrays the Python layer of np.sum and friends cost a measurable
+    # share of each outer iteration; the array methods and BLAS dot do the same
+    # arithmetic without it
+    problems = [(make_cm(16, 2, 0.1), 16, 2), (make_spca(20, 3, 0.5, 0), 20, 3)]
+    calls = []
+    for module, name in [(np, "sum"), (np, "all"), (np, "zeros_like"), (np.linalg, "norm")]:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    for prob, n, r in problems:
+        assert solve(prob, random_point(n, r, 0)).trace
+    assert calls == []
 
 
 def test_solving_leaves_scipy_unimported():

@@ -246,6 +246,15 @@ class TestMemory:
             assert pair.s_dot_y >= floor * (1.0 - 1e-12)
             assert pair.s_dot_y > 0
 
+    def test_pair_caches_its_displacement_norm(self):
+        # build_diag reads tr(s^T s) from the pair, pushed or built directly
+        s, y = rand_pair(7, 3, 8)
+        pair = pushed(s, y).pairs[-1]
+        assert pair.s_dot_s == float(np.vdot(pair.s, pair.s))
+        direct = CurvaturePair(2.0 * s, y, 1.0)
+        assert direct.s_dot_s == float(np.vdot(2.0 * s, 2.0 * s))
+        assert CurvaturePair(np.zeros((4, 1)), np.ones((4, 1)), 1.0).s_dot_s == 0.0
+
 
 class TestMetricNorm:
     def test_zero_vector(self):

@@ -132,6 +132,12 @@ class TestSparsePca:
         np.testing.assert_array_equal(prob.eval_grad_f(X), 0.0)
         assert prob.lipschitz_estimate == 0.0
 
+    def test_data_without_rows_gives_zero_lipschitz_constant(self):
+        # the Gram matrix is 0 x 0 and has no eigenvalue to take
+        prob = make_spca(12, 2, 1.0, data=np.zeros((0, 12)))
+        assert prob.lipschitz_estimate == 0.0
+        assert prob.eval_f(random_point(12, 2, 0).data) == 0.0
+
     def test_lipschitz_constant_of_generated_data(self):
         # the documented recipe: 50 x n seeded Gaussian, centered, unit columns
         n = 40

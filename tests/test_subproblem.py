@@ -395,9 +395,21 @@ class TestSsnSolve:
         solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
         history = record_residuals(monkeypatch)
         res = ssn_solve(*calls[-1], 1e-11, 200)
-        assert not res.converged and res.ssn_iters < 20
+        assert not res.converged and res.ssn_iters == 5
         assert len(history()) == res.ssn_iters + 1
-        assert res.residual_norm == min(history()) <= 1e-10
+        assert res.residual_norm == min(history()) == 1.4722703403570582e-11
+        # an earlier subproblem asked for tol 0 falls to 2.3e-11 at iteration
+        # 4, then alternates 5.4e-10, 2.3e-11, 5.9e-10; the bailout compares
+        # with the residual two steps back, so the rise at iteration 5 (above
+        # iteration 4, below iteration 3) continues, and the one at 7 (above
+        # iteration 5) stops
+        history = record_residuals(monkeypatch)
+        res = ssn_solve(*calls[-8], 0.0, 200)
+        assert not res.converged and res.ssn_iters == 7 and res.projections == 2
+        steps = history()
+        assert len(steps) == 8
+        assert steps[5] > steps[4] and steps[7] > steps[6] and steps[5] < steps[3]
+        assert res.residual_norm == min(steps) == 2.268553033352191e-11
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_multiplier_is_exactly_symmetric(self, r):
