@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .problems import make_problem, sparsity
+from .problems import check_problem_args, make_problem, sparsity
 from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
 
@@ -75,6 +75,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         # out-of-range values fail here, not once per run inside the sweep
         SolverConfig(**self.overrides)
+        for n in self.n_values:
+            for r in self.r_values:
+                for mu in self.mu_values:
+                    check_problem_args(self.problem, n, r, mu)
 
 
 @dataclass(frozen=True)

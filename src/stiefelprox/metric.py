@@ -42,7 +42,7 @@ class LbfgsMemory:
     when its shape changes, so the per-iteration rebuild allocates no buffer.
     """
 
-    capacity: int = 5
+    capacity: int = 3  # 5 pairs reach no gap to the limit sooner; 2 move SPCA's final F by > 1%
     theta: float = 1.0
     pairs: list[CurvaturePair] = field(default_factory=list)
     _work: np.ndarray = field(

@@ -8,6 +8,8 @@ Both are l1-regularized trace problems over the Stiefel manifold:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,11 +33,23 @@ class CompositeProblem:
         return float(self.eval_f(X)) + self.mu * float(np.abs(X).sum())
 
 
-def _check_args(n: int, r: int, mu: float) -> None:
+def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
+    """Raise ValueError unless make_problem can build this "cm" or "spca"
+    instance: integer sizes (bool rejected, NumPy integers accepted) with
+    1 <= r <= n, n >= 4 grid points for "cm", and a finite mu >= 0.
+
+    Plain int and float pass on their exact type before the ABC checks,
+    which cost about 1 us each, a few percent of a CM(64, 4) set-up.
+    """
+    for name, value in (("n", n), ("r", r)):
+        if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
-    if not mu >= 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    if kind == "cm" and n < 4:
+        raise ValueError(f"need n >= 4 grid points, got {n}")
+    if not ((type(mu) is float or isinstance(mu, numbers.Real)) and math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be a finite number >= 0, got {mu!r}")
 
 
 def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
@@ -48,9 +62,7 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     that sums each row in increasing column order, which rounds exactly like
     the product with H stored as a sparse CSR matrix.
     """
-    _check_args(n, r, mu)
-    if n < 4:
-        raise ValueError(f"need n >= 4 grid points, got {n}")
+    check_problem_args("cm", n, r, mu)
     dx = 50.0 / n
     inv = 1.0 / (dx * dx)
     off = -0.5 * inv
@@ -97,7 +109,7 @@ def make_spca(
     generated matrix verbatim (e.g. zeros for the flat objective edge case);
     it must be a finite 2-d array with n columns.
     """
-    _check_args(n, r, mu)
+    check_problem_args("spca", n, r, mu)
     if data is not None:
         A = np.array(data, dtype=float)
         if A.ndim != 2 or A.shape[1] != n:

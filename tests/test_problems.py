@@ -222,6 +222,26 @@ class TestSparsePca:
 
 
 class TestMakeProblem:
+    @pytest.mark.parametrize("make", [make_cm, make_spca])
+    @pytest.mark.parametrize("n, r", [(64.5, 4), (64, 4.0), (64.0, 4), (True, 1), (64, True), ("64", 4)])
+    def test_rejects_sizes_that_are_not_integers(self, make, n, r):
+        # a fractional n used to fail only in random_point or at solve's shape check
+        with pytest.raises(ValueError, match="must be an integer"):
+            make(n, r, 0.1)
+
+    @pytest.mark.parametrize("make", [make_cm, make_spca])
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, "0.1", None])
+    def test_rejects_mu_that_is_not_a_finite_number(self, make, mu):
+        # mu = inf used to end solve with NONFINITE
+        with pytest.raises(ValueError, match="mu must be a finite number"):
+            make(16, 2, mu)
+
+    @pytest.mark.parametrize("make", [make_cm, make_spca])
+    def test_accepts_numpy_integers_and_floats(self, make):
+        prob = make(np.int64(16), np.int32(2), np.float64(0.1))
+        X = random_point(16, 2, 0).data
+        assert prob.objective(X) == make(16, 2, 0.1).objective(X)
+
     def test_dispatch(self):
         assert make_problem("cm", 16, 2, 0.1).descriptor["kind"] == "cm"
         assert make_problem("spca", 16, 2, 0.1, seed=3).descriptor["seed"] == 3

@@ -289,12 +289,12 @@ class TestPgMetric:
 # of a trajectory updates these and states its F and iteration deltas; a
 # numpy or BLAS build with other floating-point kernels may also move them.
 PINNED_CM64_TRACES = {
-    0: "8db88aa96425b3911c15ea28be10e9989187a224d3901f11a212414d0a8033c6",
-    1: "08e39f23cca6390c74139e9d6905e0e45f41cc884f1b81c55b77b6e085a8368c",
+    0: "fc3d17dd79acfecc126844023fe2136d353bba2b4736a350c4e0da232c80c532",
+    1: "06392dde3a841afb7051a151e5dc98c6eaa2554f0f068edaefae0d42ddec96bf",
 }
 # The same digest for SPCA(40,12,0.5) seed 0, whose r = 12 Newton steps
 # pin the conjugate-gradient arithmetic of the subproblem.
-PINNED_SPCA40_TRACE = "c202fcb6b8ebd0688c5ec31394228230c5ea447288589c2b27234dd46a021548"
+PINNED_SPCA40_TRACE = "125a8c92c9cd7221e2ce77423055ba7ae0022feb73b83c83ea48777cad3707b0"
 
 
 def trace_digest(trace):
@@ -530,8 +530,8 @@ RECORDED_RUNS = pytest.mark.parametrize(
     "mode, n, r, seed, escalates",
     [
         (Mode.NONMONOTONE, 64, 4, 0, False),
-        # iteration 14 of this run re-solves after six sigma escalations
-        (Mode.MONOTONE, 32, 2, 2, True),
+        # iteration 10 of this run re-solves after five sigma escalations
+        (Mode.MONOTONE, 32, 2, 9, True),
         (Mode.PROX_GRAD, 32, 2, 2, False),
     ],
 )

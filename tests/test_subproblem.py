@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import stiefelprox.solver as solver_module
 import stiefelprox.subproblem as subproblem_module
 from stiefelprox import DiagonalMetric, make_spca, random_point, solve, ssn_solve
-from stiefelprox.metric import metric_norm_sq
+from stiefelprox.metric import LbfgsMemory, metric_norm_sq
 from stiefelprox.subproblem import _cg_symmetric, _fields, _jacobi_diag, _jacobian
 from oracles import kkt_direction, splitting_direction, subproblem_value
 
@@ -368,6 +368,25 @@ class TestSsnSolve:
             bound = -0.5 * metric_norm_sq(metric, V) + tol * np.linalg.norm(V)
             assert phi_diff <= bound + 1e-10
 
+    def test_stop_names_each_exit(self):
+        # "bailout" is reached in test_stops_when_cycling_at_the_roundoff_floor
+        X, G, metric = make_instance(6, 2, 22)
+        res = ssn_solve(X, G, metric, 0.3, None, 1e-10 * max(1.0, np.linalg.norm(G)), 100)
+        assert res.stop == "converged" and res.converged and res.ssn_iters > 1
+        res = ssn_solve(X, G, metric, 0.3, None, 0.0, 1)
+        assert res.stop == "max_iter" and res.ssn_iters == 1
+        # weights over ten decades: at tol 0 the Newton trial, its halvings
+        # and the fixed-point steps all raise the residual, and the
+        # hyperplane gap is not positive
+        rng = np.random.default_rng(0)
+        X = random_point(6, 2, 0)
+        G = 2.0 * rng.standard_normal((6, 2))
+        metric = DiagonalMetric(10.0 ** rng.uniform(-5, 5, 6), 0.0)
+        res = ssn_solve(X, G, metric, 0.0, None, 0.0, 100)
+        assert res.stop == "no_step"
+        assert res.ssn_iters == 4 and res.projections == res.fixed_points == 0
+        assert res.residual_norm < 1e-10
+
     def test_residual_reaches_tolerance(self, monkeypatch):
         X, G, metric = make_instance(6, 2, 22)
         tol = 1e-10 * max(1.0, np.linalg.norm(G))
@@ -382,8 +401,11 @@ class TestSsnSolve:
         assert res.residual_norm == math.sqrt(np.vdot(E, E))
 
     def test_stops_when_cycling_at_the_roundoff_floor(self, monkeypatch):
-        # the last subproblem of SPCA(40,12,0.5) seed 0, asked below its
-        # roundoff floor, alternated 2.2e-11 <-> 3.2e-10 for all 200 steps
+        # the last subproblem of SPCA(40,12,0.5) seed 0 under a 5-pair
+        # memory, asked below its roundoff floor, alternated 2.2e-11 <->
+        # 3.2e-10 for all 200 steps; the fixture keeps 5 pairs because the
+        # bailout, not the memory size, is under test
+        monkeypatch.setattr(solver_module, "LbfgsMemory", functools.partial(LbfgsMemory, capacity=5))
         calls = []
         original = solver_module.ssn_solve
 
@@ -395,7 +417,7 @@ class TestSsnSolve:
         solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
         history = record_residuals(monkeypatch)
         res = ssn_solve(*calls[-1], 1e-11, 200)
-        assert not res.converged and res.ssn_iters == 5
+        assert not res.converged and res.ssn_iters == 5 and res.stop == "bailout"
         assert len(history()) == res.ssn_iters + 1
         assert res.residual_norm == min(history()) == 1.4722703403570582e-11
         # an earlier subproblem asked for tol 0 falls to 2.3e-11 at iteration
@@ -406,6 +428,7 @@ class TestSsnSolve:
         history = record_residuals(monkeypatch)
         res = ssn_solve(*calls[-8], 0.0, 200)
         assert not res.converged and res.ssn_iters == 7 and res.projections == 2
+        assert res.stop == "bailout"
         steps = history()
         assert len(steps) == 8
         assert steps[5] > steps[4] and steps[7] > steps[6] and steps[5] < steps[3]
