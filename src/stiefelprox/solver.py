@@ -83,14 +83,15 @@ class SolverConfig:
             raise ValueError(f"retraction must be a RetractionKind, got {self.retraction!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """Per accepted outer iteration: objective, step and subproblem statistics.
 
-    backtracks, ssn_iters and ls_trials are totals over every subproblem pass
-    of the iteration; resolves counts the passes (1 + sigma escalations);
-    rejected_rhos holds the agreement ratios of the rejected passes; ssn_tol
-    is the tolerance every pass of the iteration was solved to.
+    backtracks, ssn_iters, ls_trials, cg_iters and halvings are totals over
+    every subproblem pass of the iteration; resolves counts the passes
+    (1 + sigma escalations) and unconverged those whose ssn_solve did not
+    converge; rejected_rhos holds the agreement ratios of the rejected passes;
+    ssn_tol is the tolerance every pass of the iteration was solved to.
     """
 
     k: int
@@ -105,9 +106,14 @@ class TraceRecord:
     rejected_rhos: tuple = ()
     ls_trials: int = 0
     ssn_tol: float = math.nan
+    cg_iters: int = 0
+    halvings: int = 0
+    unconverged: int = 0
 
 
-TRACE_CSV_HEADER = "k,F,normV,sigma,alpha,rho,backtracks,ssn_iters,resolves,ls_trials,ssn_tol"
+TRACE_CSV_HEADER = (
+    "k,F,normV,sigma,alpha,rho,backtracks,ssn_iters,resolves,ls_trials,ssn_tol,cg_iters,halvings,unconverged"
+)
 
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
@@ -117,7 +123,8 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
         for t in trace:
             fh.write(
                 f"{t.k},{t.F:.12g},{t.normV:.12g},{t.sigma:.6g},{t.alpha:.6g},"
-                f"{t.rho:.6g},{t.backtracks},{t.ssn_iters},{t.resolves},{t.ls_trials},{t.ssn_tol:.6g}\n"
+                f"{t.rho:.6g},{t.backtracks},{t.ssn_iters},{t.resolves},{t.ls_trials},{t.ssn_tol:.6g},"
+                f"{t.cg_iters},{t.halvings},{t.unconverged}\n"
             )
 
 
@@ -302,9 +309,7 @@ def solve(
 
         resolves = 0
         rejected: list[float] = []
-        bt_total = 0
-        trials_total = 0
-        ssn_total = 0
+        bt_total = trials_total = ssn_total = cg_total = halvings_total = unconverged = 0
         accepted = False
         if len(lam_hist) == 2:
             lam_warm = lam_hist[1] + (lam_hist[1] - lam_hist[0])
@@ -316,6 +321,9 @@ def solve(
             sub = ssn_solve(X, G, metric, mu, lam_warm, ssn_tol, cfg.max_ssn)
             lam_warm = sub.lam
             ssn_total += sub.ssn_iters
+            cg_total += sub.cg_iters
+            halvings_total += sub.halvings
+            unconverged += not sub.converged
             V = sub.v.data
             norm_v_sq = float(np.vdot(V, V))
             if resolves == 1:
@@ -383,6 +391,9 @@ def solve(
             rejected_rhos=tuple(rejected),
             ls_trials=trials_total,
             ssn_tol=ssn_tol,
+            cg_iters=cg_total,
+            halvings=halvings_total,
+            unconverged=unconverged,
         )
         trace.append(record)
         X, G, F_cur = Z, G_new, F_trial

@@ -11,8 +11,14 @@ minimizer
     V(L) = prox(X - (G - 2 X L) / w) - X,
 
 where prox is row-weighted soft thresholding, and the dual root-finding
-problem E(L) := A(V(L)) = 0. E is monotone and piecewise smooth, so a
-safeguarded semismooth Newton iteration drives ||E|| to zero.
+problem E(L) := A(V(L)) = 0. The dual objective
+
+    phi(L) = <G, V> + 1/2 tr(V^T diag(w) V) + mu ||X + V||_1 - <L, E>  at V = V(L)
+
+is concave with gradient -E (Danskin), so each Newton step is an ascent
+direction of phi, and a backtracking Armijo search on phi globalizes the
+semismooth Newton iteration (Zhao, Sun & Toh, SIAM J. Optim. 2010; Li, Sun &
+Toh, SIAM J. Optim. 2018).
 
 Each Newton step solves (Jac + eta I) dL = -E over the r(r+1)/2 unknowns of a
 symmetric dL. L carries the units of w and the Jacobian those of 1/w, so eta
@@ -36,14 +42,16 @@ import numpy as np
 from .metric import DiagonalMetric
 from .stiefel import StiefelPoint, TangentVector, project_tangent
 
-# Newton globalization constants: residual-reduction acceptance, CG forcing,
+# Newton globalization constants: residual-reduction acceptance, Armijo slope
+# of the dual ascent test and halvings per Newton step, the unit roundoff u,
 # regularization window for the generalized Jacobian.
 _NEWTON_ACCEPT = 1.0 - 1e-4
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+_UNIT_ROUNDOFF = 0.5 * float(np.finfo(float).eps)
 _ETA_SCALE = 0.2
 _ETA_MIN = 1e-12
 _ETA_MAX = 1e-2
-_MAX_BACKTRACKS = 10
-_STALL_FACTOR = 0.5
 
 
 def _fields(
@@ -84,6 +92,25 @@ def _jacobian(Xa: np.ndarray, active: np.ndarray, eta: float, D: np.ndarray) -> 
     return M + M.T + eta * D
 
 
+def _dual_rise(
+    Xa: np.ndarray, w: np.ndarray, thresh: np.ndarray, clip: np.ndarray, V: np.ndarray,
+    step: np.ndarray, Vc: np.ndarray, Ec: np.ndarray,
+) -> float:
+    """phi(L + step) - phi(L) from the fields V = V(L) and Vc, Ec at L + step.
+
+    With clip = clip(P(L), -thresh, thresh) the prox optimality of V reads
+    G - 2 X L + w o V = -w o clip, and expanding phi(L + step) around V with
+    D = Vc - V and Y = X + Vc gives, without cancellation between two values,
+
+        -<Ec, step> + sum_i w_i sum_j (D^2/2 + thresh |Y| - clip Y)_ij,
+
+    whose sum is nonnegative and exactly zero on entries that keep their sign.
+    """
+    Y = Xa + Vc
+    D = Vc - V
+    return float(w @ (0.5 * D * D + thresh * np.abs(Y) - clip * Y).sum(axis=1) - np.vdot(Ec, step))
+
+
 @dataclass
 class SubproblemResult:
     """Solution bundle: direction, multiplier, dual residual, iteration stats."""
@@ -92,14 +119,11 @@ class SubproblemResult:
     lam: np.ndarray
     residual_norm: float
     ssn_iters: int
-    # why the loop ended: "converged", "max_iter", "bailout" (the
-    # degenerate-valley or roundoff-floor exit) or "no_step" (no Newton,
-    # projection or fixed-point step was accepted)
+    # why the loop ended: "converged", "max_iter" or "no_step" (no halving of
+    # the Newton step passed the residual or the dual ascent test)
     stop: str
     cg_iters: int = 0  # CG iterations over all Newton steps
     halvings: int = 0  # halved Newton trials evaluated
-    projections: int = 0  # hyperplane-projection steps taken
-    fixed_points: int = 0  # fixed-point steps accepted
 
     @property
     def converged(self) -> bool:
@@ -122,8 +146,6 @@ def _cg_symmetric(
     x = np.zeros(rhs.shape)
     r = rhs.copy()
     b_norm = math.sqrt(np.vdot(rhs, rhs))
-    if b_norm == 0.0:
-        return x, 0
     z = r / diag
     p = z  # z is rebound below, never written in place
     rz = np.vdot(r, z)
@@ -170,18 +192,16 @@ def ssn_solve(
     2/mean(w), so scaling G, w, mu and lam0 by a power of two scales lam and
     leaves the rest bitwise unchanged) inexactly, by Jacobi-preconditioned CG
     to an unpreconditioned residual below min(0.1 ||E||, max(||E||^2, 0.1 tol))
-    in at most r(r+1)/2 iterations. It accepts the trial, halving it if needed,
-    once it shrinks the residual by a fixed factor. Otherwise the full trial u
-    is recycled into a hyperplane-projection step
-    L - <E(u), L-u>/||E(u)||^2 E(u), which moves strictly closer to the
-    solution set of the monotone equation even when the Jacobian element is
-    (near) singular; a verified fixed-point step L - t E(L) (t in units of
-    mean(w)/2) covers the remaining degenerate case; the result counts both
-    fallbacks. Far below the starting residual, the loop also stops once two
-    steps stagnate or make no progress (a cycle at the roundoff floor). The
-    returned direction is the exact tangent projection of V(L), so tangency
-    holds to machine precision even when the dual loop stops early
-    (converged=False, best iterate returned); the result's stop names the exit.
+    in at most r(r+1)/2 iterations. It accepts the first trial L + t dL,
+    t = 1, 1/2, ..., 2^-40, that shrinks the residual by a fixed factor or,
+    failing that, raises the dual objective phi by 1e-4 t <-E, dL> and by more
+    than n r u times the magnitude of phi's terms, the worst-case rounding
+    error of summing phi's n r entries (u the unit roundoff): a smaller rise
+    is below phi's own resolution. The rise is evaluated only for trials that
+    fail the residual test. The loop ends "converged", "max_iter", or
+    "no_step" when no trial passes; short of convergence it returns the
+    iterate of least residual. The direction is the exact tangent projection
+    of V(L), so tangency holds to machine precision however the loop ends.
     A misshapen grad_f or lam0, or a non-finite one, raises ValueError.
     """
     if max_iter < 1:
@@ -210,11 +230,8 @@ def ssn_solve(
     res = math.sqrt(np.vdot(E, E))
     if not math.isfinite(res):
         raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
-    # for the bailout: its threshold and the accepted residuals one and two
-    # steps back (inf until there are two steps)
-    bail_below, res_older, res_old = 1e-3 * max(1.0, res), math.inf, res
     best_res, best_lam, best_V = res, lam, V
-    iters = cg_iters = halvings = projections = fixed_points = 0
+    iters = cg_iters = halvings = 0
     converged = res <= tol
     X2 = Xa * Xa  # for the Jacobi diagonal of every step
     cg_cap = max(1, r * (r + 1) // 2)
@@ -230,66 +247,37 @@ def ssn_solve(
         rel_tol = min(0.1, max(res, 0.1 * tol / res))
         st, cg_step = _cg_symmetric(newton_op, -E, diag, rel_tol=rel_tol, max_iter=cg_cap)
         cg_iters += cg_step
-        # the Newton trial and its halvings, then a hyperplane projection built
-        # from the full trial u, then a verified fixed-point step; lam, E and
-        # every step are exactly symmetric, so each candidate is too
-        accepted = False
-        for j in range(_MAX_BACKTRACKS + 1):
+        # the trial and its halvings, each exactly symmetric like lam and E;
+        # the ascent test's clipped prox argument, slope <-E, dL> and bound
+        # on phi's rounding error are built once a trial fails the residual test
+        clip = None
+        for j in range(_MAX_HALVINGS + 1):
             cand = lam + st
             Pc, Vc, Ec = fields(cand)
             res_c = math.sqrt(np.vdot(Ec, Ec))
-            if j == 0:
-                u, Eu, res_u = cand, Ec, res_c
             if res_c <= _NEWTON_ACCEPT * res:
-                lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
-                accepted = True
+                break
+            if clip is None:
+                clip = np.minimum(np.maximum(P, -thresh), thresh)
+                slope = -float(np.vdot(E, st))
+                terms = abs(np.vdot(grad_f, V)) + 0.5 * (w @ (V * V).sum(axis=1)) + abs(np.vdot(lam, E))
+                rounding = _UNIT_ROUNDOFF * Xa.size * float(terms + mu * np.abs(Xa + V).sum())
+            rise = _dual_rise(Xa, w, thresh, clip, V, st, Vc, Ec)
+            if rise >= _ARMIJO * slope * 0.5**j and rise > rounding:
                 break
             st = 0.5 * st
-        halvings += j
-        if not accepted:
-            gap = float((Eu * (lam - u)).sum())
-            if gap > 0.0 and res_u > 0.0:
-                cand = lam - (gap / (res_u * res_u)) * Eu
-                Pc, Vc, Ec = fields(cand)
-                lam, P, V, E = cand, Pc, Vc, Ec
-                res = math.sqrt(np.vdot(Ec, Ec))
-                accepted = True
-                projections += 1
-        if not accepted:
-            t = 0.5 / jac_unit
-            for _ in range(_MAX_BACKTRACKS + 1):
-                cand = lam - t * E
-                Pc, Vc, Ec = fields(cand)
-                res_c = math.sqrt(np.vdot(Ec, Ec))
-                if res_c <= res:
-                    lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
-                    accepted = True
-                    fixed_points += 1
-                    break
-                t *= 0.5
-        if not accepted:
+        else:
+            halvings += _MAX_HALVINGS
             stop = "no_step"
             break
+        halvings += j
+        lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
         if res < best_res:
             best_res, best_lam, best_V = res, lam, V
         converged = res <= tol
-        # degenerate-valley bailout: once the residual is far below its
-        # starting scale, two consecutive near-stagnant steps mean the
-        # remainder lives in a null direction of the Jacobian along which the
-        # primal direction V(L) no longer changes, and no progress over two
-        # steps means a cycle at the roundoff floor (only a hyperplane step
-        # can raise the residual); either way the best iterate is already as
-        # good as this solve will get
-        if res <= bail_below and (
-            res >= res_older or (res >= _STALL_FACTOR * res_old and res_old >= _STALL_FACTOR * res_older)
-        ):
-            stop = "bailout"
-            break
-        res_older, res_old = res_old, res
 
     if converged:
         stop = "converged"
     elif best_res < res:
         res, lam, V = best_res, best_lam, best_V
-    counts = (cg_iters, halvings, projections, fixed_points)
-    return SubproblemResult(project_tangent(X, V), lam, res, iters, stop, *counts)
+    return SubproblemResult(project_tangent(X, V), lam, res, iters, stop, cg_iters, halvings)

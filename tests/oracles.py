@@ -3,9 +3,9 @@
 Nothing here shares code with the library paths it checks: the
 compressed-modes operator is a dense matrix written from its formula,
 projections go through an explicit tangent basis, the quasi-Newton diagonal
-through the dense n x n recursion, and the subproblem through a dense KKT
+through the dense n x n recursion, the subproblem through a dense KKT
 solve (smooth case) or a three-operator proximal splitting iteration (l1
-case).
+case), and its dual value through the textbook soft threshold.
 """
 
 import numpy as np
@@ -74,6 +74,17 @@ def subproblem_value(X, G, w, mu, V) -> float:
         + 0.5 * float(np.sum(w[:, None] * V * V))
         + mu * float(np.abs(X + V).sum())
     )
+
+
+def dual_value(X, G, w, mu, L) -> float:
+    """Lagrangian dual of the subproblem at a symmetric multiplier L.
+
+    phi(L) = min_V phi(V) - <L, V^T X + X^T V>, whose minimizer is the
+    row-weighted soft threshold of X - (G - 2 X L) / w, shifted by -X.
+    """
+    shifted = X - (G - 2.0 * X @ L) / w[:, None]
+    V = np.sign(shifted) * np.maximum(np.abs(shifted) - (mu / w)[:, None], 0.0) - X
+    return subproblem_value(X, G, w, mu, V) - float(np.sum(L * (V.T @ X + X.T @ V)))
 
 
 def kkt_direction(X: np.ndarray, G: np.ndarray, w: np.ndarray) -> np.ndarray:

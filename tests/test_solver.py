@@ -289,12 +289,12 @@ class TestPgMetric:
 # of a trajectory updates these and states its F and iteration deltas; a
 # numpy or BLAS build with other floating-point kernels may also move them.
 PINNED_CM64_TRACES = {
-    0: "fc3d17dd79acfecc126844023fe2136d353bba2b4736a350c4e0da232c80c532",
-    1: "06392dde3a841afb7051a151e5dc98c6eaa2554f0f068edaefae0d42ddec96bf",
+    0: "0bbda299c7c249cf72270bb7aeaa2d3af128b55bec051a579c801a4316e3a2d8",
+    1: "0e8fd7c82ef241d637a2a58bbb42d9981c8e392f3595d222d302cd7f50fc81f5",
 }
 # The same digest for SPCA(40,12,0.5) seed 0, whose r = 12 Newton steps
 # pin the conjugate-gradient arithmetic of the subproblem.
-PINNED_SPCA40_TRACE = "125a8c92c9cd7221e2ce77423055ba7ae0022feb73b83c83ea48777cad3707b0"
+PINNED_SPCA40_TRACE = "7efc479f69be65721d28d8d7318965b9c99f1b0429f08c2d8129aa3564b3cac7"
 
 
 def trace_digest(trace):
@@ -604,6 +604,30 @@ class TestInexactSubproblem:
         assert norm_v_sq <= 1e-8 * n * r
 
 
+    @RECORDED_RUNS
+    def test_trace_sums_the_subproblem_counters(self, monkeypatch, mode, n, r, seed, escalates):
+        calls = _recording_ssn(monkeypatch)
+        res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
+        for t, passes in zip(res.trace, _passes_by_iteration(calls, res.trace)):
+            subs = [c[7] for c in passes]
+            assert t.ssn_iters == sum(sub.ssn_iters for sub in subs)
+            assert t.cg_iters == sum(sub.cg_iters for sub in subs)
+            assert t.halvings == sum(sub.halvings for sub in subs)
+            assert t.unconverged == sum(not sub.converged for sub in subs)
+        assert sum(t.cg_iters for t in res.trace) >= sum(t.ssn_iters for t in res.trace) > 0
+
+    def test_trace_counts_unconverged_passes(self, monkeypatch):
+        # one Newton step per pass leaves most subproblems short of tol
+        monkeypatch.setattr(SolverConfig, "max_ssn", 1)
+        calls = _recording_ssn(monkeypatch)
+        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=40))
+        assert len(res.trace) == 40
+        counts = [t.unconverged for t in res.trace]
+        assert len(calls) == sum(t.resolves for t in res.trace)
+        assert sum(counts) == sum(not c[7].converged for c in calls) > 0
+        assert all(0 <= u <= t.resolves for u, t in zip(counts, res.trace))
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         prob = make_cm(16, 2, 0.1)
@@ -619,3 +643,7 @@ class TestTraceCsv:
         assert int(first[8]) == res.trace[0].resolves
         assert int(first[9]) == res.trace[0].ls_trials
         assert float(first[10]) == pytest.approx(res.trace[0].ssn_tol, rel=1e-5)
+        assert TRACE_CSV_HEADER.endswith(",ssn_tol,cg_iters,halvings,unconverged")
+        for line, t in zip(lines[1:], res.trace):
+            assert [int(x) for x in line.split(",")[11:]] == [t.cg_iters, t.halvings, t.unconverged]
+        assert sum(t.cg_iters for t in res.trace) > 0
