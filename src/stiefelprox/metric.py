@@ -11,43 +11,32 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
+class CurvaturePair(NamedTuple):
     """One displacement/gradient-difference pair after damping.
 
-    s_dot_y = tr(s^T y_damped) is cached; damping guarantees
-    s_dot_y >= 0.25 * theta * tr(s^T s) with theta the scale used at damping time.
-    s_dot_s = tr(s^T s) is computed once at construction, for build_diag.
+    s_dot_y = tr(s^T y_damped) and s_dot_s = tr(s^T s), as push computed
+    them; damping guarantees s_dot_y >= 0.25 * theta * s_dot_s with theta the
+    scale used at damping time.
     """
 
     s: np.ndarray
     y_damped: np.ndarray
     s_dot_y: float
-    s_dot_s: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_dot_s", float(np.vdot(self.s, self.s)))
+    s_dot_s: float
 
 
 @dataclass
 class LbfgsMemory:
-    """Bounded history of damped curvature pairs plus the current theta scale.
-
-    Also owns the n x 2qr workspace that build_diag fills, reallocated only
-    when its shape changes, so the per-iteration rebuild allocates no buffer.
-    """
+    """Bounded history of damped curvature pairs plus the current theta scale."""
 
     capacity: int = 3  # 5 pairs reach no gap to the limit sooner; 2 move SPCA's final F by > 1%
     theta: float = 1.0
     pairs: list[CurvaturePair] = field(default_factory=list)
-    _work: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 0)), init=False, repr=False, compare=False
-    )
 
     theta_floor: ClassVar[float] = 1e-3  # lower bound on theta, readable but not a keyword
 
@@ -86,20 +75,14 @@ class LbfgsMemory:
             self.theta = max(yty / sty, self.theta_floor)
         a = self.theta * sts
         if sty >= 0.25 * a:
-            pair = CurvaturePair(np.array(s, dtype=float), np.array(y, dtype=float), sty)
+            pair = CurvaturePair(np.array(s, dtype=float), np.array(y, dtype=float), sty, sts)
         else:
             beta = 0.75 * a / (a - sty)
             y_bar = beta * y + (1.0 - beta) * self.theta * s
-            pair = CurvaturePair(np.array(s, dtype=float), y_bar, float(np.vdot(s, y_bar)))
+            pair = CurvaturePair(np.array(s, dtype=float), y_bar, float(np.vdot(s, y_bar)), sts)
         self.pairs.append(pair)
         if len(self.pairs) > self.capacity:
             del self.pairs[: len(self.pairs) - self.capacity]
-
-    def workspace(self, n: int, cols: int) -> np.ndarray:
-        """The n x cols scratch buffer, reused while its shape stays the same."""
-        if self._work.shape != (n, cols):
-            self._work = np.empty((n, cols))
-        return self._work
 
 
 def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
@@ -110,22 +93,21 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     columns of W_j are [U_0, y_0, ..., U_{j-1}, y_{j-1}], U_k = B_k s_k, and
     scale is -1/c_k on the U_k columns, 1/e_k on the y_k columns
     (c_k = tr(s_k^T U_k), e_k = tr(s_k^T y_k)). It is evaluated left-looking
-    in the memory's n x 2qr workspace W: for each pair, with P = W[:, :2jr],
+    in a fresh n x 2qr array W: for each pair, with P = W[:, :2jr],
 
         U_j = theta s_j + P diag(scale[:2jr]) P^T s_j,
 
     then U_j and y_j fill the next 2r columns, and at the end
     diag(B) = theta + (W o W) scale. Cost O(n r^2 q^2); the n x n matrix is
     never formed. Pairs with c <= 1e-12 ||s||^2 are skipped (degenerate
-    curvature): their columns are zeroed and their scale is 0. The result is
-    a fresh array, never a view of the workspace.
+    curvature): their columns are zeroed and their scale is 0.
     """
     theta = memory.theta
     pairs = memory.pairs
     if not pairs:
         return np.full(n, theta, dtype=float)
     r = pairs[0].s.shape[1]
-    W = memory.workspace(n, 2 * r * len(pairs))
+    W = np.empty((n, 2 * r * len(pairs)))
     scale = np.zeros((W.shape[1], 1))
     for j, pair in enumerate(pairs):
         lo, mid, hi = 2 * j * r, (2 * j + 1) * r, (2 * j + 2) * r
@@ -149,8 +131,7 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     return np.maximum(d, 1e-12 * max(theta, float(d.max(initial=0.0))))
 
 
-@dataclass(frozen=True)
-class DiagonalMetric:
+class DiagonalMetric(NamedTuple):
     """Positive diagonal d plus regularizer sigma; weights are d + sigma."""
 
     d: np.ndarray

@@ -83,8 +83,7 @@ class SolverConfig:
             raise ValueError(f"retraction must be a RetractionKind, got {self.retraction!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per accepted outer iteration: objective, step and subproblem statistics.
 
     backtracks, ssn_iters, ls_trials, cg_iters and halvings are totals over
@@ -111,21 +110,20 @@ class TraceRecord:
     unconverged: int = 0
 
 
-TRACE_CSV_HEADER = (
-    "k,F,normV,sigma,alpha,rho,backtracks,ssn_iters,resolves,ls_trials,ssn_tol,cg_iters,halvings,unconverged"
-)
+# The trace CSV's columns are TraceRecord's fields but rejected_rhos, in
+# order; the floats take these formats and the counts print plainly.
+_CSV_FORMATS = {"F": ".12g", "normV": ".12g", "sigma": ".6g", "alpha": ".6g", "rho": ".6g", "ssn_tol": ".6g"}
+_CSV_FIELDS = [name for name in TraceRecord._fields if name != "rejected_rhos"]
+TRACE_CSV_HEADER = ",".join(_CSV_FIELDS)
+_CSV_ROW = ",".join(f"{{0.{name}:{_CSV_FORMATS.get(name, '')}}}" for name in _CSV_FIELDS) + "\n"
 
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
-    """One CSV row per accepted outer iteration, fixed header."""
+    """One CSV row per accepted outer iteration, under TRACE_CSV_HEADER."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
         for t in trace:
-            fh.write(
-                f"{t.k},{t.F:.12g},{t.normV:.12g},{t.sigma:.6g},{t.alpha:.6g},"
-                f"{t.rho:.6g},{t.backtracks},{t.ssn_iters},{t.resolves},{t.ls_trials},{t.ssn_tol:.6g},"
-                f"{t.cg_iters},{t.halvings},{t.unconverged}\n"
-            )
+            fh.write(_CSV_ROW.format(t))
 
 
 @dataclass(frozen=True)

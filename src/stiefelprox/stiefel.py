@@ -39,7 +39,11 @@ def _feasibility(X: np.ndarray) -> float:
 
 
 def _polar_factor(A: np.ndarray) -> np.ndarray:
-    U, _, Vt = np.linalg.svd(A, full_matrices=False)
+    """U V^T from the thin SVD of A; rank-deficient A, whose polar factor is
+    not unique, raises ValueError (np.linalg.matrix_rank's default tolerance)."""
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    if sv[-1] <= max(A.shape) * np.finfo(float).eps * sv[0]:
+        raise ValueError(f"matrix is rank-deficient (singular values {sv[0]:.3e} to {sv[-1]:.3e})")
     return U @ Vt
 
 
@@ -62,8 +66,9 @@ class StiefelPoint:
 
     Construction re-orthonormalizes through the polar factor whenever the
     feasibility residual ||X^T X - I||_F exceeds 1e-10; this contains drift
-    over very long iteration counts. Non-finite entries raise ValueError. The
-    stored array is read-only.
+    over very long iteration counts. Non-finite entries and rank-deficient
+    input, whose polar factor is not unique, raise ValueError. The stored
+    array is read-only.
     """
 
     __slots__ = ("data", "n", "r")
@@ -107,7 +112,12 @@ class TangentVector:
             )
         X = base.data
         skew = np.linalg.norm(V.T @ X + X.T @ V)
-        if skew > TANGENCY_TOL * max(1.0, float(np.linalg.norm(V))):
+        bound = TANGENCY_TOL * max(1.0, float(np.linalg.norm(V)))
+        # negated, so that a nan skew fails it too; an inf entry makes the
+        # skew nan or the bound inf
+        if not skew <= bound < math.inf:
+            if not np.isfinite(V).all():
+                raise ValueError("matrix has non-finite entries")
             raise ValueError(f"matrix is not tangent at the base point (residual {skew:.3e})")
         V.flags.writeable = False
         self.data = V
@@ -186,7 +196,12 @@ _RETRACTIONS = {
 
 
 def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = RetractionKind.SVD) -> StiefelPoint:
-    """Map a tangent vector back onto the manifold; retract(X, 0) is X itself."""
+    """Map a tangent vector back onto the manifold; retract(X, 0) is X itself.
+
+    xi must be attached to X, or to a point holding the same data.
+    """
+    if xi.base is not X and not np.array_equal(xi.base.data, X.data):
+        raise ValueError("tangent vector is attached to another base point")
     if not xi.data.any():
         return X
     return StiefelPoint(_RETRACTIONS[kind](X.data, xi.data))

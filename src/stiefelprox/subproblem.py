@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def _dual_rise(
     return float(w @ (0.5 * D * D + thresh * np.abs(Y) - clip * Y).sum(axis=1) - np.vdot(Ec, step))
 
 
-@dataclass
-class SubproblemResult:
+class SubproblemResult(NamedTuple):
     """Solution bundle: direction, multiplier, dual residual, iteration stats."""
 
     v: TangentVector

@@ -16,6 +16,11 @@ def rand_pair(n, r, seed, scale=1.0):
     return rng.standard_normal((n, r)), scale * rng.standard_normal((n, r))
 
 
+def hand_pair(s, y, s_dot_y):
+    """A CurvaturePair built by hand, with its tr(s^T s) as push fills it."""
+    return CurvaturePair(s, y, s_dot_y, float(np.vdot(s, s)))
+
+
 def insert_degenerate(mem, kind, at, rng):
     """Put a pair that the recursion must skip into mem.pairs at index `at`.
 
@@ -26,12 +31,12 @@ def insert_degenerate(mem, kind, at, rng):
     n, r = mem.pairs[0].s.shape
     y = rng.standard_normal((n, r))
     if kind == "zero":
-        new = [CurvaturePair(np.zeros((n, r)), y, 1.0)]
+        new = [hand_pair(np.zeros((n, r)), y, 1.0)]
     else:
         v = rng.standard_normal((n, 1))
         new = [
-            CurvaturePair(v @ rng.standard_normal((1, r)), np.zeros((n, r)), 1.0),
-            CurvaturePair(v @ rng.standard_normal((1, r)), y, float(np.sum(y * y))),
+            hand_pair(v @ rng.standard_normal((1, r)), np.zeros((n, r)), 1.0),
+            hand_pair(v @ rng.standard_normal((1, r)), y, float(np.sum(y * y))),
         ]
     mem.pairs[at:at] = new
 
@@ -159,7 +164,7 @@ class TestBuildDiag:
     def test_degenerate_pair_skipped(self):
         # a zero displacement crafted directly into the memory is ignored
         mem = LbfgsMemory(capacity=3, theta=0.5)
-        mem.pairs.append(CurvaturePair(np.zeros((4, 1)), np.ones((4, 1)), 1.0))
+        mem.pairs.append(hand_pair(np.zeros((4, 1)), np.ones((4, 1)), 1.0))
         np.testing.assert_array_equal(build_diag(mem, 4), np.full(4, 0.5))
 
     @PROPERTY_SETTINGS
@@ -192,8 +197,7 @@ class TestBuildDiag:
 
     def test_reused_memory_matches_dense_and_returns_fresh_arrays(self):
         # one memory through warm-up, steady state and a change of n: every
-        # diagonal equals the oracle, the workspace is reallocated only when
-        # its shape changes, and no returned diagonal moves afterwards
+        # diagonal equals the oracle, and no returned diagonal moves afterwards
         rng = np.random.default_rng(13)
         mem = LbfgsMemory(capacity=3)
         returned = []
@@ -201,17 +205,12 @@ class TestBuildDiag:
             mem.pairs.clear()
             for _ in range(5):
                 mem.push(rng.standard_normal((n, r)), rng.standard_normal((n, r)))
-                work = mem.workspace(n, 2 * r * len(mem.pairs))
                 d = build_diag(mem, n)
-                assert mem.workspace(n, 2 * r * len(mem.pairs)) is work
-                assert not np.shares_memory(d, work)
                 np.testing.assert_allclose(
                     d, dense_lbfgs_diag(mem.pairs, mem.theta, n), atol=1e-10
                 )
                 returned.append((d, d.copy()))
-        steady = mem._work
         build_diag(mem, 6)
-        assert mem._work is steady
         for d, snapshot in returned:
             np.testing.assert_array_equal(d, snapshot)
 
@@ -265,13 +264,12 @@ class TestMemory:
             assert pair.s_dot_y > 0
 
     def test_pair_caches_its_displacement_norm(self):
-        # build_diag reads tr(s^T s) from the pair, pushed or built directly
+        # build_diag reads tr(s^T s) from the pair, which push fills in both
+        # damping branches
         s, y = rand_pair(7, 3, 8)
-        pair = pushed(s, y).pairs[-1]
-        assert pair.s_dot_s == float(np.vdot(pair.s, pair.s))
-        direct = CurvaturePair(2.0 * s, y, 1.0)
-        assert direct.s_dot_s == float(np.vdot(2.0 * s, 2.0 * s))
-        assert CurvaturePair(np.zeros((4, 1)), np.ones((4, 1)), 1.0).s_dot_s == 0.0
+        for y_raw in (2.0 * s, y):
+            stored = pushed(s, y_raw).pairs[-1]
+            assert stored.s_dot_s == float(np.vdot(stored.s, stored.s))
 
 
 class TestMetricNorm:

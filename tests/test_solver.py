@@ -295,6 +295,25 @@ PINNED_CM64_TRACES = {
 # The same digest for SPCA(40,12,0.5) seed 0, whose r = 12 Newton steps
 # pin the conjugate-gradient arithmetic of the subproblem.
 PINNED_SPCA40_TRACE = "7efc479f69be65721d28d8d7318965b9c99f1b0429f08c2d8129aa3564b3cac7"
+# The same digest and iteration count for CM(64,4,0.1) seed 0 under the
+# other mode and retraction choices, whose loops build the same records.
+PINNED_CM64_SEED0_VARIANTS = {
+    (Mode.MONOTONE, RetractionKind.SVD): (
+        119, "cf2eb3483d83b20d74b4bb68ffd672559864a259788429019aca3dfebd35bc74"
+    ),
+    (Mode.PROX_GRAD, RetractionKind.SVD): (
+        201, "382b95e317f95f13df1ccb378538ad445602f4c43ce68e3ced4dd1ca60521016"
+    ),
+    (Mode.NONMONOTONE, RetractionKind.QR): (
+        120, "39c2bb46d45d9a28fb63bbdc8768e4cfbbd753765b78589ead7b608beedeee94"
+    ),
+    (Mode.NONMONOTONE, RetractionKind.CAYLEY): (
+        120, "29eec635a9489fdd7629d8027175ecfac882cab1763f15280b5ade613aa1757c"
+    ),
+}
+# SHA-256 of the whole write_trace_csv file of CM(16,2,0.1) seed 0, which
+# pins the header, the column order and every number's format.
+PINNED_CM16_TRACE_CSV = "858ee9a0d754a7e3f63c3f376154cdc38e47504201bc970117c4180e6bd7a3b5"
 
 
 def trace_digest(trace):
@@ -308,6 +327,15 @@ class TestSolve:
             assert trace_digest(solve(prob, random_point(64, 4, seed)).trace) == digest
         spca = solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
         assert trace_digest(spca.trace) == PINNED_SPCA40_TRACE
+
+    @pytest.mark.parametrize("mode, retraction", list(PINNED_CM64_SEED0_VARIANTS))
+    def test_every_mode_and_retraction_matches_its_pinned_digest(self, mode, retraction):
+        iterations, digest = PINNED_CM64_SEED0_VARIANTS[mode, retraction]
+        cfg = SolverConfig(mode=mode, retraction=retraction)
+        res = solve(make_cm(64, 4, 0.1), random_point(64, 4, 0), cfg)
+        assert res.status is Status.CONVERGED
+        assert len(res.trace) == iterations
+        assert trace_digest(res.trace) == digest
 
     def test_stationary_start_terminates_immediately(self):
         # mu = 0 from an exact invariant subspace: gradient projects to zero
@@ -647,3 +675,9 @@ class TestTraceCsv:
         for line, t in zip(lines[1:], res.trace):
             assert [int(x) for x in line.split(",")[11:]] == [t.cg_iters, t.halvings, t.unconverged]
         assert sum(t.cg_iters for t in res.trace) > 0
+
+    def test_file_matches_pinned_digest(self, tmp_path):
+        res = solve(make_cm(16, 2, 0.1), random_point(16, 2, 0))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(res.trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CM16_TRACE_CSV

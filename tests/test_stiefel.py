@@ -286,6 +286,44 @@ def test_point_rejects_non_finite_entries(bad):
         StiefelPoint(np.full((6, 2), bad))
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        np.zeros((4, 2)),
+        np.zeros((3, 1)),
+        np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        np.outer([1.0, 2.0, 0.0, 1.0, 3.0], [1.0, -1.0, 2.0]),
+    ],
+)
+def test_point_rejects_rank_deficient_input(raw):
+    # the polar factor of a rank-deficient matrix is not unique, so no
+    # orthonormal completion may be invented for it
+    with pytest.raises(ValueError, match="rank-deficient"):
+        StiefelPoint(raw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tangent_vector_rejects_non_finite_entries(bad):
+    X = random_point(5, 2, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        TangentVector(np.full((5, 2), bad), X)
+    V = project_tangent(X, np.ones((5, 2))).data.copy()
+    V[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TangentVector(V, X)
+
+
+def test_retract_rejects_a_vector_tangent_elsewhere():
+    X, Y = random_point(6, 2, 0), random_point(6, 2, 1)
+    xi = rand_tangent(X, 2)
+    for kind in RetractionKind:
+        with pytest.raises(ValueError, match="base point"):
+            retract(Y, xi, kind)
+    # an equal point built separately is the same base
+    same = StiefelPoint(X.data)
+    np.testing.assert_array_equal(retract(same, xi).data, retract(X, xi).data)
+
+
 def test_tangent_vector_rejects_nontangent():
     X = random_point(5, 2, 6)
     with pytest.raises(ValueError):
