@@ -35,8 +35,8 @@ class CompositeProblem:
 
 def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
     """Raise ValueError unless make_problem can build this "cm" or "spca"
-    instance: integer sizes (bool rejected, NumPy integers accepted) with
-    1 <= r <= n, n >= 4 grid points for "cm", and a finite mu >= 0.
+    instance: integer sizes with 1 <= r <= n, n >= 4 grid points for "cm",
+    and a finite mu >= 0 (NumPy numbers accepted, bool rejected).
 
     Plain int and float pass on their exact type before the ABC checks,
     which cost about 1 us each, a few percent of a CM(64, 4) set-up.
@@ -48,7 +48,8 @@ def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     if kind == "cm" and n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
-    if not ((type(mu) is float or isinstance(mu, numbers.Real)) and math.isfinite(mu) and mu >= 0):
+    if not ((type(mu) is float or isinstance(mu, numbers.Real) and not isinstance(mu, bool))
+            and math.isfinite(mu) and mu >= 0):
         raise ValueError(f"mu must be a finite number >= 0, got {mu!r}")
 
 

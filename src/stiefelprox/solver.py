@@ -69,7 +69,8 @@ class SolverConfig:
     max_inner_sigma: ClassVar[int] = 30
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.sigma0, numbers.Real) and math.isfinite(self.sigma0)):
+        if not (isinstance(self.sigma0, numbers.Real) and not isinstance(self.sigma0, bool)
+                and math.isfinite(self.sigma0)):
             raise ValueError(f"sigma0 must be a finite number, got {self.sigma0!r}")
         if self.sigma0 <= 0:
             raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
@@ -232,17 +233,6 @@ def update_sigma(sigma: float, rho: float, config: SolverConfig) -> tuple[float,
     return config.gamma2 * sigma, False
 
 
-def _lipschitz(problem: CompositeProblem) -> float:
-    """The gradient's Lipschitz constant, floored so a flat objective has a scale."""
-    return max(float(problem.lipschitz_estimate), 1e-3)
-
-
-def pg_baseline_metric(problem: CompositeProblem, n: int) -> DiagonalMetric:
-    """Constant 1/L-step metric on n rows for the proximal-gradient baseline,
-    with L floored as in _lipschitz."""
-    return DiagonalMetric(np.full(n, _lipschitz(problem)), 0.0)
-
-
 def solve(
     problem: CompositeProblem,
     X0: StiefelPoint,
@@ -253,17 +243,23 @@ def solve(
     Stops when ||V||^2 <= tol_factor * n * r (stationarity of the subproblem
     direction) and the gradient mapping w o V, which does not shrink as the
     metric weights w grow, satisfies ||w o V||^2 <= L^2 tol_factor * n * r
-    (the same bound in gradient units under the 1/L metric, L floored as in
-    _lipschitz), or at max_outer iterations, or with Status.STALLED when the
-    sigma escalation loop exceeds max_inner_sigma passes (the best iterate so
-    far is returned), or with Status.NONFINITE when F or the gradient at X0 or
-    at an accepted iterate is not finite (the last finite iterate is
-    returned). The trace holds one record per accepted iteration. Iteration
-    k solves its subproblem to max(1e-8 max(1, ||G_k||), FORCING ||V_{k-1}||),
-    iteration 0 to the first term alone. Its first subproblem pass starts the
-    dual multiplier at L_{k-1} + (L_{k-1} - L_{k-2}), the linear extrapolation
-    of the last two accepted multipliers (iteration 0 at zero, iteration 1 at
-    L_0); a re-solve after a sigma escalation starts from the previous pass's
+    (the same bound in gradient units under the 1/L metric, L the gradient's
+    Lipschitz estimate floored at 1e-3), or at max_outer iterations. A pass
+    whose line search fails (rho = -inf) or, outside the proximal-gradient
+    mode, whose rho is below eta1 is rejected: sigma grows by gamma2 and the
+    subproblem is re-solved at the same point. Status.STALLED ends the run
+    after max_inner_sigma passes in one iteration, or at the proximal-gradient
+    mode's first failed line search. Status.NONFINITE ends it when F or the
+    gradient at X0 or at an accepted iterate is not finite. Both return X0 or
+    the last accepted iterate with finite F and gradient; under the
+    nonmonotone search its F may exceed an earlier iterate's.
+
+    The trace holds one record per accepted iteration. Iteration k solves its
+    subproblem to max(1e-8 max(1, ||G_k||), FORCING ||V_{k-1}||), iteration 0
+    to the first term alone. Its first subproblem pass starts the dual
+    multiplier at L_{k-1} + (L_{k-1} - L_{k-2}), the linear extrapolation of
+    the last two accepted multipliers (iteration 0 at zero, iteration 1 at
+    L_0); a re-solve after a rejection starts from the previous pass's
     multiplier. X0 must have the problem's shape.
     """
     cfg = config if config is not None else SolverConfig()
@@ -276,10 +272,15 @@ def solve(
     pg_mode = cfg.mode is Mode.PROX_GRAD
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m
     stop_tol = cfg.tol_factor * n * r
-    grad_stop_tol = _lipschitz(problem) ** 2 * stop_tol
+    # the gradient's Lipschitz constant, floored so a flat objective has a scale
+    L = max(float(problem.lipschitz_estimate), 1e-3)
+    grad_stop_tol = L ** 2 * stop_tol
 
     memory = LbfgsMemory()
-    pg_metric = pg_baseline_metric(problem, n) if pg_mode else None
+    # the diagonal while the memory holds no pair: the identity, or the
+    # baseline's constant 1/L-step metric, whose memory stays empty
+    d_plain = np.full(n, L) if pg_mode else np.ones(n)
+    sigma = 0.0 if pg_mode else cfg.sigma0
 
     G = np.asarray(problem.eval_grad_f(X.data), dtype=float)
     F_cur = problem.objective(X.data)
@@ -295,36 +296,26 @@ def solve(
     stationary_streak = 0
 
     for k in range(cfg.max_outer):
-        if pg_mode:
-            d = pg_metric.d
-            sigma_k = 0.0
-        else:
-            sigma_k = cfg.sigma0 if k == 0 else sigma_next
-            d = np.ones(n) if not memory.pairs else build_diag(memory, n)
+        d = build_diag(memory, n) if memory.pairs else d_plain
         # forcing by ||V|| of the last accepted direction; none before iteration 0
         norm_v_prev = trace[-1].normV if trace else 0.0
         ssn_tol = max(1e-8 * max(1.0, math.sqrt(np.vdot(G, G))), FORCING * norm_v_prev)
 
-        resolves = 0
+        passes = []  # the SubproblemResult of every pass, the accepted one last
         rejected: list[float] = []
-        bt_total = trials_total = ssn_total = cg_total = halvings_total = unconverged = 0
-        accepted = False
+        bt_total = trials_total = 0
         if len(lam_hist) == 2:
             lam_warm = lam_hist[1] + (lam_hist[1] - lam_hist[0])
         else:
             lam_warm = lam_hist[-1] if lam_hist else np.zeros((r, r))
-        while not accepted:
-            resolves += 1
-            metric = DiagonalMetric(d, sigma_k)
+        while True:
+            metric = DiagonalMetric(d, sigma)
             sub = ssn_solve(X, G, metric, mu, lam_warm, ssn_tol, cfg.max_ssn)
+            passes.append(sub)
             lam_warm = sub.lam
-            ssn_total += sub.ssn_iters
-            cg_total += sub.cg_iters
-            halvings_total += sub.halvings
-            unconverged += not sub.converged
             V = sub.v.data
             norm_v_sq = float(np.vdot(V, V))
-            if resolves == 1:
+            if len(passes) == 1:
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
                 flat = F_hist[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
                 # a direction 1000x below the tolerance needs no confirmation;
@@ -340,33 +331,27 @@ def solve(
             if ls is None:
                 bt_total += LS_TRIALS
                 trials_total += LS_TRIALS
-                if pg_mode or resolves >= cfg.max_inner_sigma:
-                    return SolveResult(X, trace, Status.STALLED, norm_v_sq)
-                rejected.append(-math.inf)
-                sigma_k = cfg.gamma2 * sigma_k
-                continue
-
-            alpha, Z, backtracks, F_trial, quad = ls
-            bt_total += backtracks
-            trials_total += backtracks + 1
-            phi_zero = mu * float(np.abs(X.data).sum())
-            phi_step = (
-                alpha * float(np.vdot(G, V))
-                + 0.5 * alpha * alpha * quad
-                + mu * float(np.abs(X.data + (V if alpha == 1.0 else alpha * V)).sum())
-            )
-            rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
-            sigma_used = sigma_k
-            if pg_mode:
-                accepted = True
+                rho = -math.inf
             else:
-                sigma_k, accepted = update_sigma(sigma_k, rho, cfg)
-                if not accepted:
-                    rejected.append(rho)
-                    if resolves >= cfg.max_inner_sigma:
-                        return SolveResult(X, trace, Status.STALLED, norm_v_sq)
+                alpha, Z, backtracks, F_trial, quad = ls
+                bt_total += backtracks
+                trials_total += backtracks + 1
+                phi_zero = mu * float(np.abs(X.data).sum())
+                phi_step = (
+                    alpha * float(np.vdot(G, V))
+                    + 0.5 * alpha * alpha * quad
+                    + mu * float(np.abs(X.data + (V if alpha == 1.0 else alpha * V)).sum())
+                )
+                rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
+            accepted = ls is not None
+            if not pg_mode:
+                sigma, accepted = update_sigma(sigma, rho, cfg)
+            if accepted:
+                break
+            if pg_mode or len(passes) >= cfg.max_inner_sigma:
+                return SolveResult(X, trace, Status.STALLED, norm_v_sq)
+            rejected.append(rho)
 
-        sigma_next = sigma_k
         lam_hist.append(lam_warm)
         G_new = np.asarray(problem.eval_grad_f(Z.data), dtype=float)
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
@@ -376,24 +361,23 @@ def solve(
             proj_G_new = project_tangent(Z, G_new).data
             memory.push(Z.data - X.data, proj_G_new - proj_G)
             proj_G = proj_G_new
-        record = TraceRecord(
+        trace.append(TraceRecord(
             k=k,
             F=F_trial,
             normV=math.sqrt(norm_v_sq),
-            sigma=sigma_used,
+            sigma=metric.sigma,
             alpha=alpha,
             rho=rho,
             backtracks=bt_total,
-            ssn_iters=ssn_total,
-            resolves=resolves,
+            ssn_iters=sum(p.ssn_iters for p in passes),
+            resolves=len(passes),
             rejected_rhos=tuple(rejected),
             ls_trials=trials_total,
             ssn_tol=ssn_tol,
-            cg_iters=cg_total,
-            halvings=halvings_total,
-            unconverged=unconverged,
-        )
-        trace.append(record)
+            cg_iters=sum(p.cg_iters for p in passes),
+            halvings=sum(p.halvings for p in passes),
+            unconverged=sum(not p.converged for p in passes),
+        ))
         X, G, F_cur = Z, G_new, F_trial
         F_hist.append(F_cur)
 

@@ -110,14 +110,12 @@ class TangentVector:
             raise ValueError(
                 f"tangent shape {V.shape} does not match base {base.data.shape}"
             )
+        if not np.isfinite(V).all():
+            raise ValueError("matrix has non-finite entries")
         X = base.data
-        skew = np.linalg.norm(V.T @ X + X.T @ V)
-        bound = TANGENCY_TOL * max(1.0, float(np.linalg.norm(V)))
-        # negated, so that a nan skew fails it too; an inf entry makes the
-        # skew nan or the bound inf
-        if not skew <= bound < math.inf:
-            if not np.isfinite(V).all():
-                raise ValueError("matrix has non-finite entries")
+        skew = float(np.linalg.norm(V.T @ X + X.T @ V))
+        # entries above ~1e154 overflow both norms, so the bound can be inf
+        if not (math.isfinite(skew) and skew <= TANGENCY_TOL * max(1.0, float(np.linalg.norm(V)))):
             raise ValueError(f"matrix is not tangent at the base point (residual {skew:.3e})")
         V.flags.writeable = False
         self.data = V

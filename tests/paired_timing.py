@@ -9,10 +9,11 @@ leaves equal, and the median, min and max of the per-round time ratios
 new/base. It screens ideas quickly; a performance claim still needs the
 benchmark's interleaved runs (perfbench/run.py).
 
-    python tests/paired_timing.py BASE_SRC NEW_SRC --instance cm128 --seeds 0-3 --rounds 8
+    python tests/paired_timing.py BASE_SRC NEW_SRC --instance cm128 --seeds 0-3 --rounds 8 --mode nls
 
 BASE_SRC and NEW_SRC are directories that hold a stiefelprox/ package, such
-as the src/ of two checkouts.
+as the src/ of two checkouts. --mode picks the solver mode (nls, arpqn or
+pg) both sides run.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ def main() -> None:
     parser.add_argument("--instance", choices=sorted(INSTANCES), default="cm128")
     parser.add_argument("--seeds", type=seed_range, default=range(4), help="inclusive range, e.g. 0-3")
     parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--mode", choices=["nls", "arpqn", "pg"], default="nls")
     args = parser.parse_args()
 
     kind, n, r, mu = INSTANCES[args.instance]
@@ -69,18 +71,18 @@ def main() -> None:
         pkg = load_package(src.resolve(), f"stiefelprox_{label}")
         # each seed's instance and initial point, built once per side
         jobs = [(pkg.make_problem(kind, n, r, mu, seed), pkg.random_point(n, r, seed)) for seed in args.seeds]
-        sides.append((label, pkg, jobs))
+        sides.append((label, pkg, jobs, pkg.SolverConfig(mode=pkg.Mode(args.mode))))
 
-    iterations = {label: 0 for label, _, _ in sides}
+    iterations = {label: 0 for label, *_ in sides}
     ratios = []
     for rnd in range(args.rounds):
-        seconds = {label: 0.0 for label, _, _ in sides}
+        seconds = {label: 0.0 for label, *_ in sides}
         for i, seed in enumerate(args.seeds):
             order = sides if (seed + rnd) % 2 == 0 else sides[::-1]
-            for label, pkg, jobs in order:
+            for label, pkg, jobs, config in order:
                 problem, x0 = jobs[i]
                 start = time.perf_counter()
-                res = pkg.solve(problem, x0)
+                res = pkg.solve(problem, x0, config)
                 seconds[label] += time.perf_counter() - start
                 if rnd == 0:
                     iterations[label] += len(res.trace)
@@ -88,7 +90,7 @@ def main() -> None:
         print(f"round {rnd}: base {seconds['base']:.3f} s, new {seconds['new']:.3f} s, ratio {ratios[-1]:.3f}")
 
     seeds = f"{args.seeds.start}-{args.seeds.stop - 1}"
-    print(f"{args.instance} {(n, r, mu)} seeds {seeds}, {args.rounds} rounds")
+    print(f"{args.instance} {(n, r, mu)} {args.mode} seeds {seeds}, {args.rounds} rounds")
     for label in iterations:
         print(f"  {label} outer iterations {iterations[label]}")
     if iterations["base"] != iterations["new"]:

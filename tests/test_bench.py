@@ -63,6 +63,7 @@ class TestSpec:
             ({"mu_values": (0.1, float("inf"))}, "mu must be a finite number"),
             ({"n_values": (16, 8), "r_values": (12,)}, "1 <= r <= n"),
             ({"n_values": (3,), "r_values": (1,)}, "n >= 4"),
+            ({"mu_values": (True,)}, "mu must be a finite number"),
         ],
     )
     def test_invalid_grid_point_rejected(self, grid, match):

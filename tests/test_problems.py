@@ -230,7 +230,7 @@ class TestMakeProblem:
             make(n, r, 0.1)
 
     @pytest.mark.parametrize("make", [make_cm, make_spca])
-    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, "0.1", None])
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, "0.1", None, True])
     def test_rejects_mu_that_is_not_a_finite_number(self, make, mu):
         # mu = inf used to end solve with NONFINITE
         with pytest.raises(ValueError, match="mu must be a finite number"):

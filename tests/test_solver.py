@@ -36,7 +36,6 @@ from stiefelprox.solver import (
     SIGMA_MIN,
     TRACE_CSV_HEADER,
     compute_rho,
-    pg_baseline_metric,
     update_sigma,
 )
 from oracles import cm_operator
@@ -86,6 +85,7 @@ class TestConfig:
             dict(sigma0=math.inf),
             dict(theta_floor=math.nan),
             dict(tol_factor=math.nan),
+            dict(sigma0=True),
         ],
     )
     def test_rejects_bad_values(self, bad):
@@ -270,18 +270,25 @@ class TestUpdateSigma:
 
 
 class TestPgMetric:
-    def test_cm_metric_is_twice_operator_norm(self):
-        prob = make_cm(32, 2, 0.1)
-        metric = pg_baseline_metric(prob, 32)
-        assert metric.d.shape == (32,)
+    # the proximal-gradient baseline solves every subproblem under the
+    # constant metric d = L (floored at 1e-3), sigma = 0
+    def test_cm_metric_is_twice_operator_norm(self, monkeypatch):
+        calls = _recording_ssn(monkeypatch)
+        solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=3, mode=Mode.PROX_GRAD))
+        assert len(calls) == 3
         dx = 50.0 / 32
-        np.testing.assert_allclose(metric.d, 4.0 / dx**2, rtol=5e-2)
-        assert metric.sigma == 0.0
+        for metric in (c[2] for c in calls):
+            assert metric.d.shape == (32,)
+            np.testing.assert_allclose(metric.d, 4.0 / dx**2, rtol=5e-2)
+            assert metric.sigma == 0.0
 
-    def test_flat_objective_floors(self):
+    def test_flat_objective_floors(self, monkeypatch):
+        calls = _recording_ssn(monkeypatch)
         prob = make_spca(10, 1, 1.0, data=np.zeros((50, 10)))
-        metric = pg_baseline_metric(prob, 10)
-        np.testing.assert_array_equal(metric.d, 1e-3)
+        solve(prob, random_point(10, 1, 0), SolverConfig(max_outer=1, mode=Mode.PROX_GRAD))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][2].d, 1e-3)
+        assert calls[0][2].sigma == 0.0
 
 
 # SHA-256 of the concatenated reprs of every trace record of CM(64,4,0.1)
@@ -654,6 +661,73 @@ class TestInexactSubproblem:
         assert len(calls) == sum(t.resolves for t in res.trace)
         assert sum(counts) == sum(not c[7].converged for c in calls) > 0
         assert all(0 <= u <= t.resolves for u, t in zip(counts, res.trace))
+
+
+def _failing_after(monkeypatch, successes):
+    """Let the solver's first `successes` line searches that find a step
+    through, then make every later one fail."""
+    import stiefelprox.solver as solver_mod
+
+    found = []
+
+    def failing(*args):
+        ls = line_search(*args) if len(found) < successes else None
+        if ls is not None:
+            found.append(ls)
+        return ls
+
+    monkeypatch.setattr(solver_mod, "line_search", failing)
+
+
+class TestStall:
+    @pytest.mark.parametrize("mode", [Mode.NONMONOTONE, Mode.MONOTONE])
+    def test_regularized_modes_stall_after_max_inner_sigma_passes(self, monkeypatch, mode):
+        # nls: no line search finds a step; arpqn: every step it finds has
+        # rho below eta1. Either way sigma grows by gamma2 per pass until the
+        # budget of passes is spent, and the run ends where it began.
+        import stiefelprox.solver as solver_mod
+
+        if mode is Mode.NONMONOTONE:
+            _failing_after(monkeypatch, 0)
+        else:
+            monkeypatch.setattr(solver_mod, "compute_rho", lambda *args: 0.0)
+        calls = _recording_ssn(monkeypatch)
+        cfg = SolverConfig(sigma0=2.0, mode=mode)
+        X0 = random_point(32, 2, 0)
+        res = solve(make_cm(32, 2, 0.1), X0, cfg)
+        assert res.status is Status.STALLED
+        assert res.trace == []
+        assert res.point is X0
+        assert len(calls) == cfg.max_inner_sigma == 30
+        assert [c[2].sigma for c in calls] == [2.0 * cfg.gamma2**i for i in range(30)]
+        assert all(c[0] is X0 for c in calls)
+
+    def test_pg_stalls_at_its_first_failed_line_search(self, monkeypatch):
+        _failing_after(monkeypatch, 0)
+        calls = _recording_ssn(monkeypatch)
+        X0 = random_point(32, 2, 0)
+        res = solve(make_cm(32, 2, 0.1), X0, SolverConfig(mode=Mode.PROX_GRAD))
+        assert res.status is Status.STALLED
+        assert res.trace == [] and res.point is X0
+        assert len(calls) == 1 and calls[0][2].sigma == 0.0
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_stall_returns_the_last_accepted_iterate(self, monkeypatch, mode):
+        # after k accepted iterations the run hands back the k-th iterate and
+        # the k records that a run with a budget of k iterations ends with
+        k = 6
+        prob, X0 = make_cm(32, 2, 0.1), random_point(32, 2, 0)
+        ref = solve(prob, X0, SolverConfig(max_outer=k, mode=mode))
+        assert ref.status is Status.MAX_ITER
+        _failing_after(monkeypatch, k)
+        calls = _recording_ssn(monkeypatch)
+        res = solve(prob, X0, SolverConfig(mode=mode))
+        assert res.status is Status.STALLED
+        assert res.trace == ref.trace
+        np.testing.assert_array_equal(res.point.data, ref.point.data)
+        stalled = calls[sum(t.resolves for t in res.trace):]
+        assert len(stalled) == (1 if mode is Mode.PROX_GRAD else SolverConfig.max_inner_sigma)
+        assert all(np.array_equal(c[0].data, ref.point.data) for c in stalled)
 
 
 class TestTraceCsv:

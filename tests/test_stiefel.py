@@ -302,6 +302,7 @@ def test_point_rejects_rank_deficient_input(raw):
         StiefelPoint(raw)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tangent_vector_rejects_non_finite_entries(bad):
     X = random_point(5, 2, 0)
@@ -330,3 +331,6 @@ def test_tangent_vector_rejects_nontangent():
         TangentVector(np.ones((5, 2)), X)
     with pytest.raises(ValueError):
         TangentVector(np.ones((5, 3)), X)
+    # finite entries whose norms overflow to inf: the bound is inf too
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not tangent"):
+        TangentVector(1e200 * np.ones((5, 2)), X)
