@@ -35,8 +35,8 @@ class LbfgsMemory:
     """Bounded history of damped curvature pairs plus the current theta scale."""
 
     capacity: int = 3  # 5 pairs reach no gap to the limit sooner; 2 move SPCA's final F by > 1%
-    theta: float = 1.0
-    pairs: list[CurvaturePair] = field(default_factory=list)
+    theta: float = field(default=1.0, init=False)  # refreshed by push, not a keyword
+    pairs: list[CurvaturePair] = field(default_factory=list, init=False)
 
     theta_floor: ClassVar[float] = 1e-3  # lower bound on theta, readable but not a keyword
 

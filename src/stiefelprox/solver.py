@@ -1,13 +1,14 @@
 """Outer solver: adaptive quadratically regularized proximal quasi-Newton.
 
-Each outer iteration builds the diagonal quasi-Newton metric, solves the
-tangent-space proximal subproblem for the direction V, backtracks a
-(non)monotone line search along the retraction, and adjusts the regularizer
-sigma from the agreement ratio rho between the actual objective decrease and
-the model decrease: very good agreement shrinks sigma, poor agreement grows
-sigma and re-solves the subproblem at the same point. A plain proximal
-gradient baseline (constant 1/L metric, monotone line search, no sigma
-machinery) shares the same loop.
+Each outer iteration solves the tangent-space proximal subproblem for the
+direction V under the diagonal quasi-Newton metric, which is rebuilt only
+when an accepted step adds a curvature pair, backtracks a (non)monotone line
+search along the retraction, and adjusts the regularizer sigma from the
+agreement ratio rho between the actual objective decrease and the model
+decrease: very good agreement shrinks sigma, poor agreement grows sigma and
+re-solves the subproblem at the same point. A plain proximal gradient
+baseline (constant 1/L metric, monotone line search, no sigma machinery)
+shares the same loop.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class SolveResult:
     point: StiefelPoint
     trace: list[TraceRecord]
     status: Status
-    # ||V||^2 of the subproblem direction at the returned point (the quantity
+    # ||V||^2 of the first subproblem pass at the returned point (the quantity
     # the stopping rule bounds); nan when no subproblem was solved there
     final_norm_v_sq: float = math.nan
 
@@ -251,8 +252,9 @@ def solve(
     after max_inner_sigma passes in one iteration, or at the proximal-gradient
     mode's first failed line search. Status.NONFINITE ends it when F or the
     gradient at X0 or at an accepted iterate is not finite. Both return X0 or
-    the last accepted iterate with finite F and gradient; under the
-    nonmonotone search its F may exceed an earlier iterate's.
+    the last accepted iterate with finite F and gradient, whose F may exceed
+    an earlier iterate's under the nonmonotone search, and the ||V||^2 of its
+    first pass, which the stop bounds (nan if F or the gradient at X0 is not finite).
 
     The trace holds one record per accepted iteration. Iteration k solves its
     subproblem to max(1e-8 max(1, ||G_k||), FORCING ||V_{k-1}||), iteration 0
@@ -260,7 +262,8 @@ def solve(
     multiplier at L_{k-1} + (L_{k-1} - L_{k-2}), the linear extrapolation of
     the last two accepted multipliers (iteration 0 at zero, iteration 1 at
     L_0); a re-solve after a rejection starts from the previous pass's
-    multiplier. X0 must have the problem's shape.
+    multiplier. X0 must have the problem's shape, and the problem's mu and
+    lipschitz_estimate must be finite real numbers >= 0 (bool rejected).
     """
     cfg = config if config is not None else SolverConfig()
     X = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
@@ -268,6 +271,9 @@ def solve(
     expected = (problem.descriptor.get("n", n), problem.descriptor.get("r", r))
     if (n, r) != expected:
         raise ValueError(f"X0 has shape {(n, r)}, the problem needs {expected}")
+    for name, value in (("lipschitz_estimate", problem.lipschitz_estimate), ("mu", problem.mu)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            raise ValueError(f"problem.{name} must be a finite number >= 0, got {value!r}")
     mu = problem.mu
     pg_mode = cfg.mode is Mode.PROX_GRAD
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m
@@ -277,9 +283,9 @@ def solve(
     grad_stop_tol = L ** 2 * stop_tol
 
     memory = LbfgsMemory()
-    # the diagonal while the memory holds no pair: the identity, or the
-    # baseline's constant 1/L-step metric, whose memory stays empty
-    d_plain = np.full(n, L) if pg_mode else np.ones(n)
+    # the quasi-Newton diagonal, rebuilt after each curvature pair: the
+    # identity until the first, or the baseline's constant 1/L-step metric
+    d = np.full(n, L) if pg_mode else np.ones(n)
     sigma = 0.0 if pg_mode else cfg.sigma0
 
     G = np.asarray(problem.eval_grad_f(X.data), dtype=float)
@@ -290,32 +296,25 @@ def solve(
     # nonmonotone reference the last window_m + 1 (window_m < FLATNESS_WINDOW)
     F_hist: deque = deque([F_cur], maxlen=FLATNESS_WINDOW + 1)
     proj_G = None if pg_mode else project_tangent(X, G).data
-    # multipliers of the last two accepted subproblems, newest last
-    lam_hist: deque = deque(maxlen=2)
+    # multipliers of the last two accepted subproblems
+    lam_prev = lam_last = np.zeros((r, r))
     trace: list[TraceRecord] = []
     stationary_streak = 0
 
     for k in range(cfg.max_outer):
-        d = build_diag(memory, n) if memory.pairs else d_plain
         # forcing by ||V|| of the last accepted direction; none before iteration 0
         norm_v_prev = trace[-1].normV if trace else 0.0
         ssn_tol = max(1e-8 * max(1.0, math.sqrt(np.vdot(G, G))), FORCING * norm_v_prev)
 
-        passes = []  # the SubproblemResult of every pass, the accepted one last
-        rejected: list[float] = []
-        bt_total = trials_total = 0
-        if len(lam_hist) == 2:
-            lam_warm = lam_hist[1] + (lam_hist[1] - lam_hist[0])
-        else:
-            lam_warm = lam_hist[-1] if lam_hist else np.zeros((r, r))
+        passes = []  # (subproblem, line search, rho, ||V||^2) of every pass, the accepted one last
+        lam_warm = lam_last + (lam_last - lam_prev) if k >= 2 else lam_last
         while True:
             metric = DiagonalMetric(d, sigma)
             sub = ssn_solve(X, G, metric, mu, lam_warm, ssn_tol, cfg.max_ssn)
-            passes.append(sub)
             lam_warm = sub.lam
             V = sub.v.data
             norm_v_sq = float(np.vdot(V, V))
-            if len(passes) == 1:
+            if not passes:
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
                 flat = F_hist[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
                 # a direction 1000x below the tolerance needs no confirmation;
@@ -329,13 +328,9 @@ def solve(
             F_ref = nonmonotone_reference(F_hist, window_m)
             ls = line_search(problem, X, sub.v, metric, F_ref, cfg)
             if ls is None:
-                bt_total += LS_TRIALS
-                trials_total += LS_TRIALS
                 rho = -math.inf
             else:
-                alpha, Z, backtracks, F_trial, quad = ls
-                bt_total += backtracks
-                trials_total += backtracks + 1
+                alpha, Z, _, F_trial, quad = ls
                 phi_zero = mu * float(np.abs(X.data).sum())
                 phi_step = (
                     alpha * float(np.vdot(G, V))
@@ -343,24 +338,26 @@ def solve(
                     + mu * float(np.abs(X.data + (V if alpha == 1.0 else alpha * V)).sum())
                 )
                 rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
+            passes.append((sub, ls, rho, norm_v_sq))
             accepted = ls is not None
             if not pg_mode:
                 sigma, accepted = update_sigma(sigma, rho, cfg)
             if accepted:
                 break
             if pg_mode or len(passes) >= cfg.max_inner_sigma:
-                return SolveResult(X, trace, Status.STALLED, norm_v_sq)
-            rejected.append(rho)
+                return SolveResult(X, trace, Status.STALLED, passes[0][3])
 
-        lam_hist.append(lam_warm)
+        lam_prev, lam_last = lam_last, lam_warm
         G_new = np.asarray(problem.eval_grad_f(Z.data), dtype=float)
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
-            return SolveResult(X, trace, Status.NONFINITE, norm_v_sq)
+            return SolveResult(X, trace, Status.NONFINITE, passes[0][3])
         if not pg_mode:
             # the projected gradient at Z is the next iteration's one at X
             proj_G_new = project_tangent(Z, G_new).data
             memory.push(Z.data - X.data, proj_G_new - proj_G)
             proj_G = proj_G_new
+            d = build_diag(memory, n)
+        subs, searches, rhos, _ = zip(*passes)
         trace.append(TraceRecord(
             k=k,
             F=F_trial,
@@ -368,15 +365,15 @@ def solve(
             sigma=metric.sigma,
             alpha=alpha,
             rho=rho,
-            backtracks=bt_total,
-            ssn_iters=sum(p.ssn_iters for p in passes),
+            backtracks=sum(LS_TRIALS if s is None else s.backtracks for s in searches),
+            ssn_iters=sum(p.ssn_iters for p in subs),
             resolves=len(passes),
-            rejected_rhos=tuple(rejected),
-            ls_trials=trials_total,
+            rejected_rhos=rhos[:-1],
+            ls_trials=sum(LS_TRIALS if s is None else s.backtracks + 1 for s in searches),
             ssn_tol=ssn_tol,
-            cg_iters=sum(p.cg_iters for p in passes),
-            halvings=sum(p.halvings for p in passes),
-            unconverged=sum(not p.converged for p in passes),
+            cg_iters=sum(p.cg_iters for p in subs),
+            halvings=sum(p.halvings for p in subs),
+            unconverged=sum(not p.converged for p in subs),
         ))
         X, G, F_cur = Z, G_new, F_trial
         F_hist.append(F_cur)

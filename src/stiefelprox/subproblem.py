@@ -231,12 +231,11 @@ def ssn_solve(
         raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
     best_res, best_lam, best_V = res, lam, V
     iters = cg_iters = halvings = 0
-    converged = res <= tol
+    stop = "converged" if res <= tol else "max_iter"  # until the loop converges or breaks
     X2 = Xa * Xa  # for the Jacobi diagonal of every step
-    cg_cap = max(1, r * (r + 1) // 2)
-    stop = "max_iter"  # unless the loop breaks or converges
+    cg_cap = r * (r + 1) // 2
 
-    while not converged and iters < max_iter:
+    while stop == "max_iter" and iters < max_iter:
         iters += 1
         active = (np.abs(P) > thresh) * scale
         eta = min(max(_ETA_SCALE * math.sqrt(res), _ETA_MIN), _ETA_MAX) * jac_unit
@@ -273,10 +272,8 @@ def ssn_solve(
         lam, P, V, E, res = cand, Pc, Vc, Ec, res_c
         if res < best_res:
             best_res, best_lam, best_V = res, lam, V
-        converged = res <= tol
+        stop = "converged" if res <= tol else "max_iter"
 
-    if converged:
-        stop = "converged"
-    elif best_res < res:
+    if stop != "converged" and best_res < res:
         res, lam, V = best_res, best_lam, best_V
     return SubproblemResult(project_tangent(X, V), lam, res, iters, stop, cg_iters, halvings)

@@ -5,9 +5,15 @@ only relative imports, so a renamed copy loads), with one BLAS thread. Both
 sides solve the same instances from the same initial points; which side goes
 first alternates by seed and round, so a drift of the machine's speed falls
 on both. It prints each side's outer iterations, which a bit-identical change
-leaves equal, and the median, min and max of the per-round time ratios
-new/base. It screens ideas quickly; a performance claim still needs the
-benchmark's interleaved runs (perfbench/run.py).
+leaves equal, the per-round time ratios new/base as median, quartiles, min
+and max, and in how many rounds the new side was faster.
+
+The ratio is noisy: on a 2-core VM, CM(64,4,0.1) seeds 0-7 over 16 rounds
+of one tree against itself gave per-round ratios of 0.865-1.130 (median
+0.995). A screen therefore counts only when at least 9 of 10 rounds favour
+one side and the median's distance from 1 exceeds that base-vs-base spread;
+a performance claim still needs the benchmark's interleaved runs
+(perfbench/run.py).
 
     python tests/paired_timing.py BASE_SRC NEW_SRC --instance cm128 --seeds 0-3 --rounds 8 --mode nls
 
@@ -95,8 +101,10 @@ def main() -> None:
         print(f"  {label} outer iterations {iterations[label]}")
     if iterations["base"] != iterations["new"]:
         print("  iteration counts differ: the change is not bit-identical")
-    print(f"  time ratio new/base: median {statistics.median(ratios):.3f}, "
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"  time ratio new/base: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"min {min(ratios):.3f}, max {max(ratios):.3f}")
+    print(f"  new faster in {sum(x < 1.0 for x in ratios)} of {len(ratios)} rounds")
 
 
 if __name__ == "__main__":

@@ -82,6 +82,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(**TINY, modes=("newton",))
 
+    def test_unknown_retraction_rejected(self):
+        with pytest.raises(ValueError, match="unknown retraction 'polar'"):
+            ExperimentSpec(**TINY, retractions=("polar",))
+
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(**TINY, overrides={"bogus": 1.0})
@@ -295,6 +299,7 @@ class TestCli:
             ("sigma0=fast", "--config sigma0 expects float, got 'fast'"),
             ("window_m=3", "unknown config field 'window_m'"),
             ("sigma0=nan", "bench: sigma0 must be a finite number, got nan"),
+            ("sigma0", "--config expects key=value, got 'sigma0'"),
         ]
         for item, message in cases:
             with pytest.raises(SystemExit) as exc:

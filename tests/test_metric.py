@@ -124,7 +124,8 @@ class TestThetaInit:
 
 class TestBuildDiag:
     def test_empty_memory_gives_theta(self):
-        mem = LbfgsMemory(capacity=5, theta=0.37)
+        mem = LbfgsMemory(capacity=5)
+        mem.theta = 0.37
         np.testing.assert_array_equal(build_diag(mem, 6), np.full(6, 0.37))
 
     def test_single_pair_matches_dense(self):
@@ -163,7 +164,8 @@ class TestBuildDiag:
 
     def test_degenerate_pair_skipped(self):
         # a zero displacement crafted directly into the memory is ignored
-        mem = LbfgsMemory(capacity=3, theta=0.5)
+        mem = LbfgsMemory(capacity=3)
+        mem.theta = 0.5
         mem.pairs.append(hand_pair(np.zeros((4, 1)), np.ones((4, 1)), 1.0))
         np.testing.assert_array_equal(build_diag(mem, 4), np.full(4, 0.5))
 
@@ -220,6 +222,13 @@ class TestMemory:
     def test_rejects_bad_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
             LbfgsMemory(capacity=capacity)
+
+    @pytest.mark.parametrize("state", [dict(theta=0.5), dict(theta=-1.0), dict(pairs=[])])
+    def test_theta_and_pairs_are_not_keywords(self, state):
+        # a keyword theta of -1 or nan would reach build_diag unchecked as a
+        # negative or nan diagonal; push alone sets theta and the pairs
+        with pytest.raises(TypeError):
+            LbfgsMemory(**state)
 
     def test_default_keeps_the_three_newest_pairs(self, monkeypatch):
         # 3 pairs reach every continued-run gap in no more iterations than 5,

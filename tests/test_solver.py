@@ -485,9 +485,11 @@ class TestSolve:
         assert res.status is Status.NONFINITE
         assert res.trace == []
 
-    def test_nan_gradient_mid_run_returns_last_finite_iterate(self):
+    def test_nan_gradient_mid_run_returns_last_finite_iterate(self, monkeypatch):
         # the gradient turns NaN at the fifth accepted iterate: the run stops
-        # there and hands back the fourth, with its trace
+        # there and hands back the fourth, with its trace and the ||V||^2 of
+        # the first subproblem pass solved there
+        calls = _recording_ssn(monkeypatch)
         base = make_cm(16, 2, 0.1)
         points = []
 
@@ -501,7 +503,9 @@ class TestSolve:
         assert len(res.trace) == 4
         np.testing.assert_array_equal(res.point.data, points[4])
         assert res.trace[-1].F == base.objective(res.point.data)
-        assert math.isfinite(res.final_norm_v_sq)
+        first = calls[sum(t.resolves for t in res.trace)]
+        np.testing.assert_array_equal(first[0].data, res.point.data)
+        assert res.final_norm_v_sq == float(np.vdot(first[-1].v.data, first[-1].v.data))
 
     @pytest.mark.parametrize("n, r", [(12, 2), (16, 3)])
     def test_rejects_start_of_wrong_shape(self, n, r):
@@ -509,6 +513,26 @@ class TestSolve:
         # one used to run to CONVERGED on the wrong manifold
         with pytest.raises(ValueError, match=r"X0 has shape \(%d, %d\), the problem needs \(16, 2\)" % (n, r)):
             solve(make_cm(16, 2, 0.1), random_point(n, r, 0))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lipschitz_estimate", math.nan),
+            ("lipschitz_estimate", math.inf),
+            ("lipschitz_estimate", -5.0),
+            ("lipschitz_estimate", True),
+            ("mu", math.nan),
+            ("mu", -0.1),
+            ("mu", True),
+        ],
+    )
+    def test_rejects_problem_constants_that_are_not_finite_nonnegative(self, field, value):
+        # unchecked, a nan estimate makes nls run out its budget at the optimum
+        # and pg fail inside ssn_solve, inf makes pg stall, and -5 is floored
+        # to 1e-3 without a word
+        broken = dataclasses.replace(make_cm(16, 2, 0.1), **{field: value})
+        with pytest.raises(ValueError, match=f"problem.{field} must be a finite number >= 0"):
+            solve(broken, random_point(16, 2, 0), SolverConfig(max_outer=5))
 
     def test_retraction_choice_is_used(self):
         prob = make_cm(32, 2, 0.1)
@@ -701,6 +725,19 @@ class TestStall:
         assert len(calls) == cfg.max_inner_sigma == 30
         assert [c[2].sigma for c in calls] == [2.0 * cfg.gamma2**i for i in range(30)]
         assert all(c[0] is X0 for c in calls)
+
+    def test_reports_the_norm_of_the_first_pass(self, monkeypatch):
+        # the last of the 30 passes is solved at sigma0 3^29, where ||V||^2 is
+        # about 1.8e-28, under the stop bound: the stalled point must not read
+        # as stationary
+        _failing_after(monkeypatch, 0)
+        calls = _recording_ssn(monkeypatch)
+        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0))
+        assert res.status is Status.STALLED
+        V = calls[0][-1].v.data
+        assert res.final_norm_v_sq == float(np.vdot(V, V))
+        assert res.final_norm_v_sq == pytest.approx(0.173, abs=5e-4)
+        assert res.final_norm_v_sq > SolverConfig.tol_factor * 32 * 2
 
     def test_pg_stalls_at_its_first_failed_line_search(self, monkeypatch):
         _failing_after(monkeypatch, 0)

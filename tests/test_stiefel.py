@@ -259,6 +259,12 @@ def test_point_needs_at_least_one_column():
         StiefelPoint(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("raw", [np.zeros(3), np.zeros((4, 2, 1)), np.float64(1.0)])
+def test_point_needs_a_matrix(raw):
+    with pytest.raises(ValueError, match="expected a 2-d array"):
+        StiefelPoint(raw)
+
+
 def test_feasibility_residual_cases():
     n, r = 6, 2
     E = np.zeros((n, r))

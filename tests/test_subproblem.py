@@ -337,6 +337,14 @@ class TestJacobiCg:
         assert np.linalg.norm(newton_op(D) + E) <= 1e-10 * np.linalg.norm(E)
         assert 1 <= iters < 10 * r * (r + 1)
 
+    def test_stops_at_nonpositive_curvature(self):
+        # an operator that is not positive definite ends CG at its first
+        # curvature test, before x moves
+        E = random_sym(np.random.default_rng(0), 3)
+        x, iters = _cg_symmetric(lambda D: -D, -E, np.ones((3, 3)), rel_tol=1e-10, max_iter=6)
+        np.testing.assert_array_equal(x, np.zeros((3, 3)))
+        assert iters == 1
+
 
 class TestSsnSolve:
     def test_stationary_subproblem_needs_no_iterations(self):
