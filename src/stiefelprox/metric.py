@@ -62,13 +62,18 @@ class LbfgsMemory:
         tr(s^T y_bar) = 0.25 * a exactly.
 
         Degenerate displacements (tr(s^T s) == 0) are skipped so a stalled
-        step cannot poison the metric.
+        step cannot poison the metric. A pair whose s and y differ in shape,
+        or with a non-finite entry, raises ValueError.
         """
+        if s.shape != y.shape:
+            raise ValueError(f"s and y must have the same shape, got {s.shape} and {y.shape}")
         sts = float(np.vdot(s, s))
-        if sts == 0.0:
-            return
         sty = float(np.vdot(s, y))
         yty = float(np.vdot(y, y))
+        if not math.isfinite(sts + yty):
+            raise ValueError(f"s and y must be finite, got tr(s^T s) = {sts} and tr(y^T y) = {yty}")
+        if sts == 0.0:
+            return
         if sty <= 1e-12 * math.sqrt(sts * yty):
             self.theta = self.theta_floor
         else:

@@ -357,7 +357,15 @@ def solve(
             memory.push(Z.data - X.data, proj_G_new - proj_G)
             proj_G = proj_G_new
             d = build_diag(memory, n)
-        subs, searches, rhos, _ = zip(*passes)
+        # totals over the passes in one loop; a failed line search ran all LS_TRIALS
+        backtracks = ls_trials = ssn_iters = cg_iters = halvings = unconverged = 0
+        for p, s, _, _ in passes:
+            ssn_iters += p.ssn_iters
+            cg_iters += p.cg_iters
+            halvings += p.halvings
+            unconverged += not p.converged
+            backtracks += LS_TRIALS if s is None else s.backtracks
+            ls_trials += LS_TRIALS if s is None else s.backtracks + 1
         trace.append(TraceRecord(
             k=k,
             F=F_trial,
@@ -365,15 +373,15 @@ def solve(
             sigma=metric.sigma,
             alpha=alpha,
             rho=rho,
-            backtracks=sum(LS_TRIALS if s is None else s.backtracks for s in searches),
-            ssn_iters=sum(p.ssn_iters for p in subs),
+            backtracks=backtracks,
+            ssn_iters=ssn_iters,
             resolves=len(passes),
-            rejected_rhos=rhos[:-1],
-            ls_trials=sum(LS_TRIALS if s is None else s.backtracks + 1 for s in searches),
+            rejected_rhos=tuple([p[2] for p in passes[:-1]]),
+            ls_trials=ls_trials,
             ssn_tol=ssn_tol,
-            cg_iters=sum(p.cg_iters for p in subs),
-            halvings=sum(p.halvings for p in subs),
-            unconverged=sum(not p.converged for p in subs),
+            cg_iters=cg_iters,
+            halvings=halvings,
+            unconverged=unconverged,
         ))
         X, G, F_cur = Z, G_new, F_trial
         F_hist.append(F_cur)

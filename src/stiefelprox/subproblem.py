@@ -65,7 +65,8 @@ def _fields(
     """The dual map at a symmetric multiplier L: (P, V(L), E(L)).
 
     P = base + scale o (X L) is the prox argument, with base = X - G/w and
-    scale = 2/w per row (the adjoint of A on symmetric L is A*(L) = 2 X L).
+    scale = 2/w per row (the adjoint of A on symmetric L is A*(L) = 2 X L);
+    scale, thresh and neg_thresh are (n, 1) columns or spread to n x r.
     V = prox(P) - X, where prox soft-thresholds entry (i, j) at thresh_i =
     mu/w_i as P - clip(P, -thresh_i, thresh_i) (neg_thresh = -thresh); this
     rounds exactly like sign(P) max(|P| - thresh, 0), and at thresh = 0 it
@@ -219,11 +220,16 @@ def ssn_solve(
     w = metric.weights()
     if not (w > 0).all():
         raise ValueError("metric weights must be strictly positive")
-    base = Xa - grad_f / w[:, None]
-    thresh = (mu / w)[:, None]
-    scale = (2.0 / w)[:, None]
+    # the weights spread over X's n x r shape, so that no elementwise op below
+    # broadcasts a column (each entry is w_i, so every value is unchanged)
+    w_full = np.empty_like(Xa)
+    w_full[:] = w[:, None]
+    base = Xa - grad_f / w_full
+    thresh = mu / w_full
+    neg_thresh = -thresh
+    scale = 2.0 / w_full
     jac_unit = 2.0 * w.size / float(w.sum())  # 2/mean(w), the Jacobian's unit
-    fields = functools.partial(_fields, Xa, base, scale, thresh, -thresh)
+    fields = functools.partial(_fields, Xa, base, scale, thresh, neg_thresh)
 
     P, V, E = fields(lam)
     res = math.sqrt(np.vdot(E, E))
@@ -256,7 +262,7 @@ def ssn_solve(
             if res_c <= _NEWTON_ACCEPT * res:
                 break
             if clip is None:
-                clip = np.minimum(np.maximum(P, -thresh), thresh)
+                clip = np.minimum(np.maximum(P, neg_thresh), thresh)
                 slope = -float(np.vdot(E, st))
                 terms = abs(np.vdot(grad_f, V)) + 0.5 * (w @ (V * V).sum(axis=1)) + abs(np.vdot(lam, E))
                 rounding = _UNIT_ROUNDOFF * Xa.size * float(terms + mu * np.abs(Xa + V).sum())

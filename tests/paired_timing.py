@@ -4,9 +4,11 @@ Each tree's package is imported under its own module name (the package uses
 only relative imports, so a renamed copy loads), with one BLAS thread. Both
 sides solve the same instances from the same initial points; which side goes
 first alternates by seed and round, so a drift of the machine's speed falls
-on both. It prints each side's outer iterations, which a bit-identical change
-leaves equal, the per-round time ratios new/base as median, quartiles, min
-and max, and in how many rounds the new side was faster.
+on both. It prints each side's outer iterations; whether the two sides'
+results are bit-identical, by a hash per seed of the trace records' reprs,
+the status, the final ||V||^2 and the final point's bytes, naming the first
+seed that differs; the per-round time ratios new/base as median, quartiles,
+min and max; and in how many rounds the new side was faster.
 
 The ratio is noisy: on a 2-core VM, CM(64,4,0.1) seeds 0-7 over 16 rounds
 of one tree against itself gave per-round ratios of 0.865-1.130 (median
@@ -31,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import hashlib
 import importlib.util
 import statistics
 import sys
@@ -54,6 +57,14 @@ def load_package(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def result_digest(res) -> str:
+    """A hash of everything a solve returns: equal on both sides exactly when
+    the trajectories are bit for bit the same."""
+    h = hashlib.sha256(repr((res.trace, res.status.value, res.final_norm_v_sq)).encode())
+    h.update(res.point.data.tobytes())
+    return h.hexdigest()
 
 
 def seed_range(text: str) -> range:
@@ -80,6 +91,7 @@ def main() -> None:
         sides.append((label, pkg, jobs, pkg.SolverConfig(mode=pkg.Mode(args.mode))))
 
     iterations = {label: 0 for label, *_ in sides}
+    digests = {label: {} for label, *_ in sides}
     ratios = []
     for rnd in range(args.rounds):
         seconds = {label: 0.0 for label, *_ in sides}
@@ -92,6 +104,7 @@ def main() -> None:
                 seconds[label] += time.perf_counter() - start
                 if rnd == 0:
                     iterations[label] += len(res.trace)
+                    digests[label][seed] = result_digest(res)
         ratios.append(seconds["new"] / seconds["base"])
         print(f"round {rnd}: base {seconds['base']:.3f} s, new {seconds['new']:.3f} s, ratio {ratios[-1]:.3f}")
 
@@ -99,8 +112,12 @@ def main() -> None:
     print(f"{args.instance} {(n, r, mu)} {args.mode} seeds {seeds}, {args.rounds} rounds")
     for label in iterations:
         print(f"  {label} outer iterations {iterations[label]}")
-    if iterations["base"] != iterations["new"]:
-        print("  iteration counts differ: the change is not bit-identical")
+    differing = [seed for seed in args.seeds if digests["base"][seed] != digests["new"][seed]]
+    if differing:
+        print(f"  results differ first at seed {differing[0]} ({len(differing)} of {len(args.seeds)} seeds): "
+              "the change is not bit-identical")
+    else:
+        print(f"  bit-identical on all {len(args.seeds)} seeds")
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"  time ratio new/base: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}, "
           f"min {min(ratios):.3f}, max {max(ratios):.3f}")

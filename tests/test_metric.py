@@ -260,6 +260,26 @@ class TestMemory:
         mem.push(np.zeros((4, 2)), np.ones((4, 2)))
         assert not mem.pairs
 
+    def test_rejects_a_pair_of_different_shapes(self):
+        # vdot flattens both, so the traces exist; build_diag would then fail
+        # on a broadcast far from the push
+        mem = LbfgsMemory()
+        with pytest.raises(ValueError, match=r"\(5, 2\) and \(2, 5\)"):
+            mem.push(np.ones((5, 2)), 2.0 * np.ones((2, 5)))
+        assert not mem.pairs and mem.theta == 1.0
+
+    @pytest.mark.parametrize("which, value", [("s", np.nan), ("y", np.nan), ("y", np.inf)])
+    def test_rejects_a_nonfinite_pair(self, which, value):
+        # a nan in s or y would set theta to nan, an inf in y store a pair
+        # whose build_diag row is nan; either reached ssn_solve as weights
+        # that are not positive
+        pair = dict(zip("sy", rand_pair(6, 2, 3)))
+        pair[which][2, 1] = value
+        mem = LbfgsMemory()
+        with pytest.raises(ValueError, match="finite"):
+            mem.push(pair["s"], pair["y"])
+        assert not mem.pairs and mem.theta == 1.0
+
     def test_damped_curvature_condition_per_pair(self):
         mem = LbfgsMemory(capacity=4)
         rng = np.random.default_rng(6)

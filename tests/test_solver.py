@@ -33,6 +33,7 @@ from stiefelprox.problems import make_problem
 from stiefelprox.solver import (
     FLATNESS_WINDOW,
     FORCING,
+    LS_TRIALS,
     SIGMA_MIN,
     TRACE_CSV_HEADER,
     compute_rho,
@@ -685,6 +686,29 @@ class TestInexactSubproblem:
         assert len(calls) == sum(t.resolves for t in res.trace)
         assert sum(counts) == sum(not c[7].converged for c in calls) > 0
         assert all(0 <= u <= t.resolves for u, t in zip(counts, res.trace))
+
+    def test_trace_totals_count_a_failed_line_search(self, monkeypatch):
+        # the first line search fails, so iteration 0 re-solves at a larger
+        # sigma; its record adds the failed search's LS_TRIALS trials to the
+        # accepted search's own
+        import stiefelprox.solver as solver_mod
+
+        searches = []
+
+        def failing_once(*args):
+            ls = line_search(*args) if searches else None
+            searches.append(ls)
+            return ls
+
+        monkeypatch.setattr(solver_mod, "line_search", failing_once)
+        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=1))
+        assert res.status is Status.MAX_ITER
+        (t,) = res.trace
+        accepted = searches[-1]
+        assert len(searches) == 2 and accepted is not None
+        assert t.resolves == 2 and t.rejected_rhos == (-math.inf,)
+        assert t.backtracks == LS_TRIALS + accepted.backtracks
+        assert t.ls_trials == LS_TRIALS + accepted.backtracks + 1
 
 
 def _failing_after(monkeypatch, successes):

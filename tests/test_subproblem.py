@@ -220,6 +220,37 @@ class TestKernel:
         assert np.array_equal(V, np.sign(P) * np.maximum(np.abs(P) - thresh, 0.0) - X.data)
         assert np.array_equal(E, V.T @ X.data + X.data.T @ V)
 
+    @PROPERTY_SETTINGS
+    @given(
+        r=SUBPROBLEM_R,
+        n_extra=st.integers(0, 8),
+        mu=st.just(0.0) | MU,
+        seed=SEED,
+        at_zero=st.booleans(),
+    )
+    def test_weights_spread_to_n_by_r_change_no_bit(self, r, n_extra, mu, seed, at_zero):
+        # ssn_solve spreads the weights over n x r so that no elementwise op
+        # broadcasts; (n, 1) columns of the same values must give the same
+        # bits, the sign of every zero included (mu = 0 clips at -0.0 and 0.0)
+        n = r + n_extra
+        rng = np.random.default_rng(seed)
+        X = random_point(n, r, seed).data
+        w = 10.0 ** rng.uniform(-5, 5, n)
+        w_full = np.empty_like(X)
+        w_full[:] = w[:, None]
+        kind = rng.integers(0, 3, (n, r))
+        base = np.where(kind == 0, 0.0, np.where(kind == 1, -0.0, X - rng.standard_normal((n, r)) / w_full))
+        lam = np.zeros((r, r)) if at_zero else random_sym(rng, r)
+        outputs = []
+        for weights in (w[:, None], w_full):
+            scale, thresh = 2.0 / weights, mu / weights
+            P, V, E = _fields(X, base, scale, thresh, -thresh, lam)
+            outputs.append((P, V, E, (np.abs(P) > thresh) * scale))
+        for column, spread in zip(*outputs):
+            assert column.shape == spread.shape
+            assert np.array_equal(column, spread)
+            assert np.array_equal(np.signbit(column), np.signbit(spread))
+
 
 class TestJacobian:
     def test_identity_metric_smooth_case_gives_4d(self):
