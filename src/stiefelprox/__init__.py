@@ -17,7 +17,7 @@ from .stiefel import (
     random_point,
     retract,
 )
-from .metric import DiagonalMetric, LbfgsMemory, build_diag, metric_norm_sq
+from .metric import LbfgsMemory, build_diag, metric_norm_sq
 from .subproblem import SubproblemResult, ssn_solve
 from .solver import (
     Mode,
@@ -41,7 +41,7 @@ from .problems import (
 __all__ = [
     "RetractionKind", "StiefelPoint", "TangentVector", "feasibility_residual",
     "project_tangent", "random_point", "retract",
-    "DiagonalMetric", "LbfgsMemory", "build_diag", "metric_norm_sq",
+    "LbfgsMemory", "build_diag", "metric_norm_sq",
     "SubproblemResult", "ssn_solve",
     "Mode", "SolveResult", "SolverConfig", "Status", "TraceRecord",
     "line_search", "nonmonotone_reference", "solve", "write_trace_csv",

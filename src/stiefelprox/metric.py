@@ -3,7 +3,7 @@
 The quasi-Newton operator B is never materialized: only diag(B) is needed for
 the subproblem metric, and it is accumulated matrix-free from the stored
 (s, y_damped) pairs. A regularizer sigma >= 0 is added on top, so the working
-metric is diag(B) + sigma * I.
+metric is diag(B) + sigma * I, passed around as its weights w = d + sigma.
 """
 
 from __future__ import annotations
@@ -136,16 +136,6 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     return np.maximum(d, 1e-12 * max(theta, float(d.max(initial=0.0))))
 
 
-class DiagonalMetric(NamedTuple):
-    """Positive diagonal d plus regularizer sigma; weights are d + sigma."""
-
-    d: np.ndarray
-    sigma: float = 0.0
-
-    def weights(self) -> np.ndarray:
-        return self.d + self.sigma
-
-
-def metric_norm_sq(metric: DiagonalMetric, V: np.ndarray) -> float:
-    """tr(V^T (diag d + sigma I) V) = sum_i (d_i + sigma) sum_j V_ij^2."""
-    return float((metric.weights() * (V * V).sum(axis=1)).sum())
+def metric_norm_sq(w: np.ndarray, V: np.ndarray) -> float:
+    """tr(V^T diag(w) V) = sum_i w_i sum_j V_ij^2, with w = d + sigma the metric weights."""
+    return float((w * (V * V).sum(axis=1)).sum())

@@ -22,7 +22,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .metric import DiagonalMetric, LbfgsMemory, build_diag, metric_norm_sq
+from .metric import LbfgsMemory, build_diag, metric_norm_sq
 from .problems import CompositeProblem
 from .stiefel import RetractionKind, StiefelPoint, TangentVector, project_tangent, retract
 from .subproblem import ssn_solve
@@ -156,26 +156,26 @@ class LineSearchResult(NamedTuple):
     point: StiefelPoint
     backtracks: int
     f_value: float
-    quad: float  # ||V||_metric^2, which the caller's model value reuses
+    quad: float  # ||V||_w^2, which the caller's model value reuses
 
 
 def line_search(
     problem: CompositeProblem,
     X: StiefelPoint,
     v: TangentVector,
-    metric: DiagonalMetric,
+    w: np.ndarray,
     F_ref: float,
     config: SolverConfig,
 ) -> Optional[LineSearchResult]:
     """Backtrack alpha in {1, g, g^2, ...} until the sufficient decrease holds:
 
-        F(R_X(alpha V)) <= F_ref - 1/2 * ls_sigma * alpha * ||V||_metric^2.
+        F(R_X(alpha V)) <= F_ref - 1/2 * ls_sigma * alpha * ||V||_w^2
 
-    F is evaluated at the retracted point itself, so f_value is F at the
-    returned point. Returns None after LS_TRIALS failed trials (signal to
-    escalate sigma).
+    under the metric weights w. F is evaluated at the retracted point itself,
+    so f_value is F at the returned point. Returns None after LS_TRIALS
+    failed trials (signal to escalate sigma).
     """
-    quad = metric_norm_sq(metric, v.data)
+    quad = metric_norm_sq(w, v.data)
     alpha = 1.0
     for backtracks in range(LS_TRIALS):
         Z = retract(X, v if alpha == 1.0 else alpha * v, config.retraction)
@@ -309,8 +309,8 @@ def solve(
         passes = []  # (subproblem, line search, rho, ||V||^2) of every pass, the accepted one last
         lam_warm = lam_last + (lam_last - lam_prev) if k >= 2 else lam_last
         while True:
-            metric = DiagonalMetric(d, sigma)
-            sub = ssn_solve(X, G, metric, mu, lam_warm, ssn_tol, cfg.max_ssn)
+            w, pass_sigma = d + sigma, sigma  # update_sigma moves sigma on below
+            sub = ssn_solve(X, G, w, mu, lam_warm, ssn_tol, cfg.max_ssn)
             lam_warm = sub.lam
             V = sub.v.data
             norm_v_sq = float(np.vdot(V, V))
@@ -321,12 +321,12 @@ def solve(
                 # either stop also bounds the gradient mapping w o V (ManPG's
                 # V/t at t = 1/w), since V ~ G/w vanishes under huge weights
                 if norm_v_sq <= 1e-6 * stop_tol or (stationary_streak >= STATIONARITY_CONFIRM and flat):
-                    wV = metric.weights()[:, None] * V
+                    wV = w[:, None] * V
                     if float(np.vdot(wV, wV)) <= grad_stop_tol:
                         return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
 
             F_ref = nonmonotone_reference(F_hist, window_m)
-            ls = line_search(problem, X, sub.v, metric, F_ref, cfg)
+            ls = line_search(problem, X, sub.v, w, F_ref, cfg)
             if ls is None:
                 rho = -math.inf
             else:
@@ -370,7 +370,7 @@ def solve(
             k=k,
             F=F_trial,
             normV=math.sqrt(norm_v_sq),
-            sigma=metric.sigma,
+            sigma=pass_sigma,
             alpha=alpha,
             rho=rho,
             backtracks=backtracks,

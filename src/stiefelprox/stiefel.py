@@ -99,7 +99,8 @@ class StiefelPoint:
 class TangentVector:
     """An n x r direction V with V^T X + X^T V = 0, attached to its base point.
 
-    The constructor checks tangency; ``alpha * v`` is tangent without a re-check.
+    The constructor checks tangency; ``alpha * v`` is tangent without a re-check,
+    and a non-finite alpha raises ValueError.
     """
 
     __slots__ = ("data", "base")
@@ -122,7 +123,10 @@ class TangentVector:
         self.base = base
 
     def __rmul__(self, alpha: float) -> TangentVector:
-        return _tangent(float(alpha) * self.data, self.base)
+        alpha = float(alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"scalar must be finite, got {alpha}")
+        return _tangent(alpha * self.data, self.base)
 
     def __repr__(self) -> str:
         return f"TangentVector(shape={self.data.shape}, norm={np.linalg.norm(self.data):.3e})"
@@ -196,13 +200,19 @@ _RETRACTIONS = {
 def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = RetractionKind.SVD) -> StiefelPoint:
     """Map a tangent vector back onto the manifold; retract(X, 0) is X itself.
 
-    xi must be attached to X, or to a point holding the same data.
+    xi must be attached to X, or to a point holding the same data, and kind
+    must be a RetractionKind.
     """
+    try:
+        retraction = _RETRACTIONS[kind]
+    except (KeyError, TypeError):
+        members = ", ".join(RetractionKind.__members__)
+        raise ValueError(f"kind must be a RetractionKind ({members}), got {kind!r}") from None
     if xi.base is not X and not np.array_equal(xi.base.data, X.data):
         raise ValueError("tangent vector is attached to another base point")
     if not xi.data.any():
         return X
-    return StiefelPoint(_RETRACTIONS[kind](X.data, xi.data))
+    return StiefelPoint(retraction(X.data, xi.data))
 
 
 def random_point(n: int, r: int, seed: int) -> StiefelPoint:

@@ -39,7 +39,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metric import DiagonalMetric
 from .stiefel import StiefelPoint, TangentVector, project_tangent
 
 # Newton globalization constants: residual-reduction acceptance, Armijo slope
@@ -144,21 +143,24 @@ def _cg_symmetric(
     positive. The count is that of operator applications.
     """
     x = np.zeros(rhs.shape)
-    r = rhs.copy()
     b_norm = math.sqrt(np.vdot(rhs, rhs))
+    tol = rel_tol * b_norm
+    if b_norm <= tol:
+        return x, 0
+    r = rhs.copy()
     z = r / diag
     p = z  # z is rebound below, never written in place
     rz = np.vdot(r, z)
-    for it in range(max_iter):
-        if math.sqrt(np.vdot(r, r)) <= rel_tol * b_norm:
-            return x, it
+    for it in range(1, max_iter + 1):
         Ap = apply_op(p)
         pAp = np.vdot(p, Ap)
         if pAp <= 0.0:
-            return x, it + 1
+            return x, it
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        if math.sqrt(np.vdot(r, r)) <= tol:
+            return x, it
         z = r / diag
         rz_new = np.vdot(r, z)
         p = z + (rz_new / rz) * p
@@ -180,7 +182,7 @@ def _jacobi_diag(X2: np.ndarray, active: np.ndarray, eta: float) -> np.ndarray:
 def ssn_solve(
     X: StiefelPoint,
     grad_f: np.ndarray,
-    metric: DiagonalMetric,
+    w: np.ndarray,
     mu: float,
     lam0: np.ndarray | None = None,
     tol: float = 1e-8,
@@ -202,7 +204,8 @@ def ssn_solve(
     "no_step" when no trial passes; short of convergence it returns the
     iterate of least residual. The direction is the exact tangent projection
     of V(L), so tangency holds to machine precision however the loop ends.
-    A misshapen grad_f or lam0, or a non-finite one, raises ValueError.
+    w holds the n positive metric weights, d + sigma. A misshapen grad_f,
+    lam0 or w, or a non-finite grad_f or lam0, raises ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -217,7 +220,8 @@ def ssn_solve(
     if np.shape(grad_f) != Xa.shape or lam.shape != (r, r):
         raise ValueError(f"grad_f {np.shape(grad_f)} and lam0 {lam.shape} must be {Xa.shape} and {(r, r)}")
     lam = 0.5 * (lam + lam.T)
-    w = metric.weights()
+    if np.shape(w) != (X.n,):
+        raise ValueError(f"metric weights have shape {np.shape(w)}, X needs {(X.n,)}")
     if not (w > 0).all():
         raise ValueError("metric weights must be strictly positive")
     # the weights spread over X's n x r shape, so that no elementwise op below

@@ -8,6 +8,8 @@ solve (smooth case) or a three-operator proximal splitting iteration (l1
 case), and its dual value through the textbook soft threshold.
 """
 
+import math
+
 import numpy as np
 
 
@@ -137,3 +139,33 @@ def splitting_direction(
         if float(np.linalg.norm(step)) <= tol * max(1.0, float(np.linalg.norm(xB))):
             break
     return xB
+
+
+def cg_symmetric_reference(apply_op, rhs, diag, rel_tol, max_iter):
+    """Jacobi-preconditioned CG as the library wrote it when it tested the
+    residual at the top of every iteration: (x, operator applications).
+
+    Kept frozen, so that a rewrite of the loop can be checked against it bit
+    for bit.
+    """
+    x = np.zeros(rhs.shape)
+    r = rhs.copy()
+    b_norm = math.sqrt(np.vdot(rhs, rhs))
+    z = r / diag
+    p = z
+    rz = np.vdot(r, z)
+    for it in range(max_iter):
+        if math.sqrt(np.vdot(r, r)) <= rel_tol * b_norm:
+            return x, it
+        Ap = apply_op(p)
+        pAp = np.vdot(p, Ap)
+        if pAp <= 0.0:
+            return x, it + 1
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        z = r / diag
+        rz_new = np.vdot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, max_iter

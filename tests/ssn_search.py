@@ -22,7 +22,7 @@ try:
     import stiefelprox  # noqa: F401
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from stiefelprox import DiagonalMetric, random_point, ssn_solve
+from stiefelprox import random_point, ssn_solve
 
 TOL = 1e-8
 MAX_ITER = 100
@@ -30,14 +30,14 @@ FAR = 1e-6
 
 
 def random_subproblem(seed: int):
-    """(X, G, metric, mu) of seed's subproblem."""
+    """(X, G, w, mu) of seed's subproblem."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 13))
     r = int(rng.integers(1, min(5, n) + 1))
     X = random_point(n, r, seed)
     G = 2.0 * rng.standard_normal((n, r))
-    metric = DiagonalMetric(10.0 ** rng.uniform(-5, 5, n), 0.0)
-    return X, G, metric, float(rng.uniform(0.0, 1.0))
+    w = 10.0 ** rng.uniform(-5, 5, n)
+    return X, G, w, float(rng.uniform(0.0, 1.0))
 
 
 def stop_histogram(seeds) -> tuple[Counter, Counter]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from stiefelprox import (
     CompositeProblem,
-    DiagonalMetric,
     Mode,
     RetractionKind,
     SolverConfig,
@@ -153,9 +152,9 @@ class TestLineSearch:
         X = random_point(16, 2, 0)
         g = project_tangent(X, prob.eval_grad_f(X.data))
         v = TangentVector(-1e-3 * g.data, X)
-        metric = DiagonalMetric(np.ones(16), 0.0)
+        w = np.ones(16)
         F_ref = prob.objective(X.data)
-        out = line_search(prob, X, v, metric, F_ref, SolverConfig())
+        out = line_search(prob, X, v, w, F_ref, SolverConfig())
         assert out is not None
         assert out.alpha == 1.0 and out.backtracks == 0
 
@@ -164,26 +163,26 @@ class TestLineSearch:
         X = random_point(16, 2, 1)
         rng = np.random.default_rng(2)
         v = project_tangent(X, 5.0 * rng.standard_normal((16, 2)))
-        metric = DiagonalMetric(np.ones(16), 0.0)
+        w = np.ones(16)
         cfg = SolverConfig()
-        out = line_search(prob, X, v, metric, prob.objective(X.data), cfg)
+        out = line_search(prob, X, v, w, prob.objective(X.data), cfg)
         assert out is not None
         assert out.alpha == pytest.approx(cfg.ls_gamma ** out.backtracks)
         assert feasibility_residual(out.point) <= 1e-10
         # the metric norm the caller reuses for its model value
-        assert out.quad == metric_norm_sq(metric, v.data)
+        assert out.quad == metric_norm_sq(w, v.data)
 
     def test_inflated_reference_never_backtracks_more(self):
         prob = make_cm(16, 2, 0.1)
         cfg = SolverConfig()
-        metric = DiagonalMetric(np.ones(16), 0.0)
+        w = np.ones(16)
         for seed in range(5):
             X = random_point(16, 2, seed)
             rng = np.random.default_rng(seed + 10)
             v = project_tangent(X, 3.0 * rng.standard_normal((16, 2)))
             F_mono = prob.objective(X.data)
-            lo = line_search(prob, X, v, metric, F_mono, cfg)
-            hi = line_search(prob, X, v, metric, F_mono + 0.5, cfg)
+            lo = line_search(prob, X, v, w, F_mono, cfg)
+            hi = line_search(prob, X, v, w, F_mono + 0.5, cfg)
             assert hi.backtracks <= lo.backtracks
 
     @PROPERTY_SETTINGS
@@ -204,11 +203,11 @@ class TestLineSearch:
         X = random_point(n, r, seed)
         M = 10.0**log_scale * np.random.default_rng(seed).standard_normal((n, r))
         v = project_tangent(X, M)
-        metric = DiagonalMetric(np.ones(n), 0.0)
+        w = np.ones(n)
         # F is continuous along the retraction, so a slack above F(X) is met
         # once alpha is small enough
         F_ref = prob.objective(X.data) + slack
-        out = line_search(prob, X, v, metric, F_ref, SolverConfig(retraction=kind))
+        out = line_search(prob, X, v, w, F_ref, SolverConfig(retraction=kind))
         assert out is not None
         assert isinstance(out.point, StiefelPoint)
         assert prob.objective(out.point.data) == out.f_value
@@ -231,8 +230,8 @@ class TestLineSearch:
             descriptor={"kind": "jump", "n": 6, "r": 1, "mu": 0.0, "seed": None},
         )
         v = project_tangent(X, np.random.default_rng(4).standard_normal((6, 1)))
-        metric = DiagonalMetric(np.ones(6), 0.0)
-        out = line_search(prob, X, v, metric, 0.0, SolverConfig())
+        w = np.ones(6)
+        out = line_search(prob, X, v, w, 0.0, SolverConfig())
         assert out is None
 
 
@@ -275,21 +274,21 @@ class TestPgMetric:
     # constant metric d = L (floored at 1e-3), sigma = 0
     def test_cm_metric_is_twice_operator_norm(self, monkeypatch):
         calls = _recording_ssn(monkeypatch)
-        solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=3, mode=Mode.PROX_GRAD))
+        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=3, mode=Mode.PROX_GRAD))
         assert len(calls) == 3
         dx = 50.0 / 32
-        for metric in (c[2] for c in calls):
-            assert metric.d.shape == (32,)
-            np.testing.assert_allclose(metric.d, 4.0 / dx**2, rtol=5e-2)
-            assert metric.sigma == 0.0
+        for w in (c[2] for c in calls):
+            assert w.shape == (32,)
+            np.testing.assert_allclose(w, 4.0 / dx**2, rtol=5e-2)
+        assert len(res.trace) == 3 and all(t.sigma == 0.0 for t in res.trace)
 
     def test_flat_objective_floors(self, monkeypatch):
         calls = _recording_ssn(monkeypatch)
         prob = make_spca(10, 1, 1.0, data=np.zeros((50, 10)))
-        solve(prob, random_point(10, 1, 0), SolverConfig(max_outer=1, mode=Mode.PROX_GRAD))
+        res = solve(prob, random_point(10, 1, 0), SolverConfig(max_outer=1, mode=Mode.PROX_GRAD))
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0][2].d, 1e-3)
-        assert calls[0][2].sigma == 0.0
+        np.testing.assert_array_equal(calls[0][2], 1e-3)
+        assert res.trace[0].sigma == 0.0
 
 
 # SHA-256 of the concatenated reprs of every trace record of CM(64,4,0.1)
@@ -577,9 +576,9 @@ def _recording_ssn(monkeypatch):
 
     calls = []
 
-    def recording(X, G, metric, mu, lam0, tol, max_iter):
-        sub = ssn_solve(X, G, metric, mu, lam0, tol, max_iter)
-        calls.append((X, G, metric, mu, lam0, tol, max_iter, sub))
+    def recording(X, G, w, mu, lam0, tol, max_iter):
+        sub = ssn_solve(X, G, w, mu, lam0, tol, max_iter)
+        calls.append((X, G, w, mu, lam0, tol, max_iter, sub))
         return sub
 
     monkeypatch.setattr(solver_mod, "ssn_solve", recording)
@@ -747,7 +746,8 @@ class TestStall:
         assert res.trace == []
         assert res.point is X0
         assert len(calls) == cfg.max_inner_sigma == 30
-        assert [c[2].sigma for c in calls] == [2.0 * cfg.gamma2**i for i in range(30)]
+        # no pair is stored before the first accepted step, so d is all ones
+        assert all(np.array_equal(c[2], np.ones(32) + 2.0 * cfg.gamma2**i) for i, c in enumerate(calls))
         assert all(c[0] is X0 for c in calls)
 
     def test_reports_the_norm_of_the_first_pass(self, monkeypatch):
@@ -766,11 +766,12 @@ class TestStall:
     def test_pg_stalls_at_its_first_failed_line_search(self, monkeypatch):
         _failing_after(monkeypatch, 0)
         calls = _recording_ssn(monkeypatch)
-        X0 = random_point(32, 2, 0)
-        res = solve(make_cm(32, 2, 0.1), X0, SolverConfig(mode=Mode.PROX_GRAD))
+        prob, X0 = make_cm(32, 2, 0.1), random_point(32, 2, 0)
+        res = solve(prob, X0, SolverConfig(mode=Mode.PROX_GRAD))
         assert res.status is Status.STALLED
         assert res.trace == [] and res.point is X0
-        assert len(calls) == 1 and calls[0][2].sigma == 0.0
+        # sigma = 0 adds nothing to the constant metric d = L
+        assert len(calls) == 1 and np.array_equal(calls[0][2], np.full(32, prob.lipschitz_estimate))
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_stall_returns_the_last_accepted_iterate(self, monkeypatch, mode):

@@ -331,6 +331,21 @@ def test_retract_rejects_a_vector_tangent_elsewhere():
     np.testing.assert_array_equal(retract(same, xi).data, retract(X, xi).data)
 
 
+@pytest.mark.parametrize("kind", ["svd", None, 3])
+def test_retract_rejects_a_kind_that_is_not_a_retraction_kind(kind):
+    X = random_point(6, 2, 0)
+    with pytest.raises(ValueError, match="SVD, QR, CAYLEY"):
+        retract(X, rand_tangent(X, 1), kind)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_scaling_by_a_non_finite_scalar_is_rejected(alpha):
+    # alpha * v skips the constructor's checks, so it makes its own
+    v = rand_tangent(random_point(5, 2, 0), 1)
+    with pytest.raises(ValueError, match="finite"):
+        alpha * v
+
+
 def test_tangent_vector_rejects_nontangent():
     X = random_point(5, 2, 6)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 import stiefelprox.solver as solver_module
 import stiefelprox.subproblem as subproblem_module
-from stiefelprox import DiagonalMetric, make_spca, random_point, solve, ssn_solve
+from stiefelprox import make_spca, random_point, solve, ssn_solve
 from stiefelprox.metric import LbfgsMemory, metric_norm_sq
 from stiefelprox.subproblem import _cg_symmetric, _dual_rise, _fields, _jacobi_diag, _jacobian
-from oracles import dual_value, kkt_direction, splitting_direction, subproblem_value
+from oracles import cg_symmetric_reference, dual_value, kkt_direction, splitting_direction, subproblem_value
 from ssn_search import FAR, MAX_ITER, TOL, random_subproblem, stop_histogram
 
 # a small shape and one with 78 dual unknowns
@@ -30,12 +31,11 @@ def make_instance(n, r, seed, sigma=0.0, grad_scale=2.0):
     X = random_point(n, r, seed)
     G = grad_scale * rng.standard_normal((n, r))
     d = np.exp(rng.normal(0.0, 0.5, n)) + 0.5
-    return X, G, DiagonalMetric(d, sigma)
+    return X, G, d + sigma
 
 
-def dual_map(X, G, metric, mu, lam):
+def dual_map(X, G, w, mu, lam):
     """(P, V, E, active) of the dual at lam, from the kernel arguments ssn_solve builds."""
-    w = metric.weights()
     scale = (2.0 / w)[:, None]
     thresh = (mu / w)[:, None]
     P, V, E = _fields(X.data, X.data - G / w[:, None], scale, thresh, -thresh, lam)
@@ -91,8 +91,8 @@ class TestProx:
         P = np.random.default_rng(0).standard_normal((4, 2))
         np.testing.assert_array_equal(prox(P, np.ones(4), 0.0), P)
         # with a real base point too: V = P - X exactly, no mu = 0 branch needed
-        X, G, metric = make_instance(5, 2, 3)
-        P, V, _, _ = dual_map(X, G, metric, 0.0, random_sym(np.random.default_rng(1), 2))
+        X, G, w = make_instance(5, 2, 3)
+        P, V, _, _ = dual_map(X, G, w, 0.0, random_sym(np.random.default_rng(1), 2))
         np.testing.assert_array_equal(V, P - X.data)
 
     def test_scalar_hand_case(self):
@@ -107,11 +107,11 @@ class TestProx:
 
     def test_rejects_nonpositive_weights(self):
         # the prox is only reached through ssn_solve, which checks its weights and mu
-        X, G, metric = make_instance(5, 2, 24)
+        X, G, w = make_instance(5, 2, 24)
         with pytest.raises(ValueError):
-            ssn_solve(X, G, DiagonalMetric(np.array([1.0, 0.0, 2.0, 1.0, 1.0]), 0.0), 0.5)
+            ssn_solve(X, G, np.array([1.0, 0.0, 2.0, 1.0, 1.0]), 0.5)
         with pytest.raises(ValueError):
-            ssn_solve(X, G, metric, -0.1)
+            ssn_solve(X, G, w, -0.1)
 
     def test_subgradient_optimality(self):
         rng = np.random.default_rng(2)
@@ -124,24 +124,22 @@ class TestProx:
     @given(r=SUBPROBLEM_R, n_extra=st.integers(0, 8), mu=MU, sigma=SIGMA, seed=SEED)
     def test_prox_optimality_of_v_plus_x(self, r, n_extra, mu, sigma, seed):
         # V(L) + X minimizes the separable prox problem at P(L), any X, w, mu, L
-        X, G, metric = make_instance(r + n_extra, r, seed, sigma=sigma)
-        P, V, _, _ = dual_map(X, G, metric, mu, random_sym(np.random.default_rng(seed), r))
-        w = metric.weights()
+        X, G, w = make_instance(r + n_extra, r, seed, sigma=sigma)
+        P, V, _, _ = dual_map(X, G, w, mu, random_sym(np.random.default_rng(seed), r))
         assert_prox_optimal(V + X.data, P, w, mu, 1e-12 * max(1.0, np.max(w * np.abs(P).max(axis=1))))
 
 
 class TestVofLambda:
     def test_smooth_unconstrained_case(self):
-        X, G, metric = make_instance(5, 2, 3)
-        _, V, _, _ = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))
-        np.testing.assert_allclose(V, -G / metric.weights()[:, None], atol=1e-14)
+        X, G, w = make_instance(5, 2, 3)
+        _, V, _, _ = dual_map(X, G, w, 0.0, np.zeros((2, 2)))
+        np.testing.assert_allclose(V, -G / w[:, None], atol=1e-14)
 
     def test_minimizes_lagrangian_under_perturbations(self):
-        X, G, metric = make_instance(4, 1, 4)
+        X, G, w = make_instance(4, 1, 4)
         mu = 0.3
         lam = np.array([[0.2]])
-        w = metric.weights()
-        _, V, _, _ = dual_map(X, G, metric, mu, lam)
+        _, V, _, _ = dual_map(X, G, w, mu, lam)
 
         def lagrangian(U):
             return (
@@ -169,24 +167,24 @@ class TestVofLambda:
 
 class TestResidual:
     def test_zero_at_trivial_stationary_point(self):
-        X, _, metric = make_instance(5, 2, 7)
-        _, _, E, _ = dual_map(X, np.zeros((5, 2)), metric, 0.0, np.zeros((2, 2)))
+        X, _, w = make_instance(5, 2, 7)
+        _, _, E, _ = dual_map(X, np.zeros((5, 2)), w, 0.0, np.zeros((2, 2)))
         np.testing.assert_allclose(E, 0.0, atol=1e-14)
 
     def test_affine_in_lambda_for_identity_metric(self):
         # mu = 0 and unit weights: E(L) - E(0) = A(2 X L) = 4 L
         X = random_point(6, 2, 8)
         G = np.random.default_rng(9).standard_normal((6, 2))
-        metric = DiagonalMetric(np.ones(6), 0.0)
+        w = np.ones(6)
         lam = random_sym(np.random.default_rng(10), 2)
-        E1 = dual_map(X, G, metric, 0.0, lam)[2]
-        E0 = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))[2]
+        E1 = dual_map(X, G, w, 0.0, lam)[2]
+        E0 = dual_map(X, G, w, 0.0, np.zeros((2, 2)))[2]
         np.testing.assert_allclose(E1 - E0, 4.0 * lam, atol=1e-12)
 
     def test_exactly_symmetric(self):
-        X, G, metric = make_instance(7, 3, 11)
+        X, G, w = make_instance(7, 3, 11)
         lam = random_sym(np.random.default_rng(12), 3)
-        E = dual_map(X, G, metric, 0.5, lam)[2]
+        E = dual_map(X, G, w, 0.5, lam)[2]
         np.testing.assert_array_equal(E, E.T)
 
 
@@ -205,9 +203,8 @@ class TestKernel:
         # sign(P) max(|P| - t, 0) and V^T X + X^T V; at L = 0, P is base
         # itself, whose entries are drawn at +t, -t, 0 or at random
         n = r + n_extra
-        X, _, metric = make_instance(n, r, seed, sigma=sigma)
+        X, _, w = make_instance(n, r, seed, sigma=sigma)
         rng = np.random.default_rng(seed)
-        w = metric.weights()
         thresh = (mu / w)[:, None]
         kind = rng.integers(0, 4, (n, r))
         base = np.where(
@@ -256,16 +253,16 @@ class TestJacobian:
     def test_identity_metric_smooth_case_gives_4d(self):
         X = random_point(6, 2, 13)
         G = np.random.default_rng(14).standard_normal((6, 2))
-        metric = DiagonalMetric(np.ones(6), 0.0)
+        w = np.ones(6)
         D = random_sym(np.random.default_rng(15), 2)
-        active = dual_map(X, G, metric, 0.0, np.zeros((2, 2)))[3]
+        active = dual_map(X, G, w, 0.0, np.zeros((2, 2)))[3]
         np.testing.assert_allclose(_jacobian(X.data, active, 0.0, D), 4.0 * D, atol=1e-12)
         # eta adds eta D on top
         np.testing.assert_allclose(_jacobian(X.data, active, 0.5, D), 4.5 * D, atol=1e-12)
 
     def test_dead_mask_gives_zero(self):
-        X, G, metric = make_instance(5, 2, 16)
-        active = dual_map(X, G, metric, 1e6, np.zeros((2, 2)))[3]
+        X, G, w = make_instance(5, 2, 16)
+        active = dual_map(X, G, w, 1e6, np.zeros((2, 2)))[3]
         np.testing.assert_array_equal(_jacobian(X.data, active, 0.0, np.eye(2)), 0.0)
 
     def test_matches_directional_finite_difference(self):
@@ -273,17 +270,16 @@ class TestJacobian:
         rng = np.random.default_rng(17)
         checked = 0
         for seed in range(12):
-            X, G, metric = make_instance(6, 2, 40 + seed)
+            X, G, w = make_instance(6, 2, 40 + seed)
             mu = 0.3
-            w = metric.weights()
             lam = random_sym(rng, 2)
-            P, _, E, active = dual_map(X, G, metric, mu, lam)
+            P, _, E, active = dual_map(X, G, w, mu, lam)
             # kink guard: skip instances with |P| within 1e-4 of a threshold
             if np.min(np.abs(np.abs(P) - (mu / w)[:, None])) < 1e-4:
                 continue
             D = random_sym(rng, 2)
             t = 1e-7
-            fd = (dual_map(X, G, metric, mu, lam + t * D)[2] - E) / t
+            fd = (dual_map(X, G, w, mu, lam + t * D)[2] - E) / t
             out = _jacobian(X.data, active, 0.0, D)
             assert np.linalg.norm(fd - out) <= 1e-6
             checked += 1
@@ -291,8 +287,8 @@ class TestJacobian:
 
     def test_self_adjoint_and_psd(self):
         rng = np.random.default_rng(18)
-        X, G, metric = make_instance(7, 3, 19)
-        active = dual_map(X, G, metric, 0.2, random_sym(rng, 3))[3]
+        X, G, w = make_instance(7, 3, 19)
+        active = dual_map(X, G, w, 0.2, random_sym(rng, 3))[3]
         for _ in range(5):
             D1 = random_sym(rng, 3)
             D2 = random_sym(rng, 3)
@@ -311,22 +307,22 @@ class TestDual:
         # ones; a CG Newton step from a random multiplier, stopped after any
         # number of iterations, is an ascent direction of phi, and
         # _dual_rise is phi's change along it
-        X, G, metric = make_instance(r + n_extra, r, seed, sigma=sigma)
-        Xa, w = X.data, metric.weights()
-        res = ssn_solve(X, G, metric, mu, None, 1e-10, 100)
+        X, G, w = make_instance(r + n_extra, r, seed, sigma=sigma)
+        Xa = X.data
+        res = ssn_solve(X, G, w, mu, None, 1e-10, 100)
         primal = subproblem_value(Xa, G, w, mu, res.v.data)
         rng = np.random.default_rng(seed)
         unit = 2.0 / float(np.mean(w))  # the Jacobian's unit; L carries its inverse
         for lam in (res.lam, res.lam + random_sym(rng, r) / unit):
             assert dual_value(Xa, G, w, mu, lam) <= primal + 1e-12 * (1.0 + abs(primal))
         lam = random_sym(rng, r) / unit
-        P, V, E, active = dual_map(X, G, metric, mu, lam)
+        P, V, E, active = dual_map(X, G, w, mu, lam)
         eta = 1e-3 * unit
         step, _ = _cg_symmetric(
             functools.partial(_jacobian, Xa, active, eta), -E, _jacobi_diag(Xa * Xa, active, eta), 1e-12, cg_steps
         )
         assert -np.vdot(E, step) > 0.0
-        _, Vc, Ec, _ = dual_map(X, G, metric, mu, lam + step)
+        _, Vc, Ec, _ = dual_map(X, G, w, mu, lam + step)
         thresh = (mu / w)[:, None]
         rise = _dual_rise(Xa, w, thresh, np.clip(P, -thresh, thresh), V, step, Vc, Ec)
         before, after = dual_value(Xa, G, w, mu, lam), dual_value(Xa, G, w, mu, lam + step)
@@ -347,9 +343,9 @@ class TestJacobiCg:
     @pytest.mark.parametrize("r", [1, 2, 5, 12])
     @pytest.mark.parametrize("mu, mask", [(0.3, "mixed"), (1e6, "dead"), (0.0, "active")])
     def test_diagonal_and_solve(self, r, mu, mask):
-        X, G, metric = make_instance(2 * r + 6, r, 50 + r, sigma=0.1)
+        X, G, w = make_instance(2 * r + 6, r, 50 + r, sigma=0.1)
         rng = np.random.default_rng(r)
-        _, _, _, active = dual_map(X, G, metric, mu, random_sym(rng, r))
+        _, _, _, active = dual_map(X, G, w, mu, random_sym(rng, r))
         J = active > 0
         assert {"mixed": 0 < J.mean() < 1, "dead": not J.any(), "active": J.all()}[mask]
         eta = 0.05
@@ -377,10 +373,40 @@ class TestJacobiCg:
         assert iters == 1
 
 
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(
+        r=st.integers(1, 8),
+        n_extra=st.integers(0, 8),
+        seed=SEED,
+        rel_tol=st.sampled_from([1e-12, 0.1, 1.5]),
+        cap=st.sampled_from(["zero", "one", "full"]),
+        spd=st.booleans(),
+        zero_rhs=st.booleans(),
+    )
+    def test_matches_the_reference_loop_bit_for_bit(self, r, n_extra, seed, rel_tol, cap, spd, zero_rhs):
+        # the residual is tested once, where it changes; the counts, x and
+        # the sign of every zero in x are those of the loop that tested it
+        # at the top of every iteration, at every exit
+        n = r + n_extra
+        rng = np.random.default_rng(seed)
+        X = random_point(n, r, seed).data
+        active = (rng.random((n, r)) < rng.random()) * (2.0 / 10.0 ** rng.uniform(-3, 3, n))[:, None]
+        eta = 10.0 ** rng.uniform(-12, -2)
+        op = functools.partial(_jacobian, X, active, eta) if spd else (lambda D: -D)
+        diag = _jacobi_diag(X * X, active, eta)
+        rhs = np.zeros((r, r)) if zero_rhs else random_sym(rng, r)
+        max_iter = {"zero": 0, "one": 1, "full": r * (r + 1) // 2}[cap]
+        x, iters = _cg_symmetric(op, rhs, diag, rel_tol, max_iter)
+        x_ref, iters_ref = cg_symmetric_reference(op, rhs, diag, rel_tol, max_iter)
+        assert iters == iters_ref
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(np.signbit(x), np.signbit(x_ref))
+
+
 class TestSsnSolve:
     def test_stationary_subproblem_needs_no_iterations(self):
-        X, _, metric = make_instance(6, 2, 20)
-        res = ssn_solve(X, np.zeros((6, 2)), metric, 0.0)
+        X, _, w = make_instance(6, 2, 20)
+        res = ssn_solve(X, np.zeros((6, 2)), w, 0.0)
         assert res.converged
         assert res.ssn_iters == 0
         np.testing.assert_allclose(res.v.data, 0.0, atol=1e-14)
@@ -389,20 +415,19 @@ class TestSsnSolve:
     def test_smooth_case_matches_dense_kkt(self):
         for n, r in ORACLE_SHAPES:
             for seed in range(6):
-                X, G, metric = make_instance(n, r, 60 + seed, sigma=0.2 * (seed % 2))
+                X, G, w = make_instance(n, r, 60 + seed, sigma=0.2 * (seed % 2))
                 tol = 1e-10 * max(1.0, np.linalg.norm(G))
-                res = ssn_solve(X, G, metric, 0.0, None, tol, 100)
+                res = ssn_solve(X, G, w, 0.0, None, tol, 100)
                 assert res.converged
-                V_ref = kkt_direction(X.data, G, metric.weights())
+                V_ref = kkt_direction(X.data, G, w)
                 assert np.linalg.norm(res.v.data - V_ref) <= 1e-8
 
     def test_l1_case_matches_splitting_oracle(self):
         for n, r in ORACLE_SHAPES:
             for seed in range(6):
-                X, G, metric = make_instance(n, r, 80 + seed)
+                X, G, w = make_instance(n, r, 80 + seed)
                 tol = 1e-10 * max(1.0, np.linalg.norm(G))
-                res = ssn_solve(X, G, metric, 0.1, None, tol, 100)
-                w = metric.weights()
+                res = ssn_solve(X, G, w, 0.1, None, tol, 100)
                 V_ref = splitting_direction(X.data, G, w, 0.1)
                 assert np.linalg.norm(res.v.data - V_ref) <= 1e-6
                 phi_gap = subproblem_value(X.data, G, w, 0.1, res.v.data) - subproblem_value(
@@ -411,8 +436,8 @@ class TestSsnSolve:
                 assert phi_gap <= 1e-8
 
     def test_returned_direction_is_tangent(self):
-        X, G, metric = make_instance(8, 3, 21)
-        res = ssn_solve(X, G, metric, 0.5)
+        X, G, w = make_instance(8, 3, 21)
+        res = ssn_solve(X, G, w, 0.5)
         Xa, V = X.data, res.v.data
         assert np.linalg.norm(V.T @ Xa + Xa.T @ V) <= 1e-12 * max(1.0, np.linalg.norm(V))
 
@@ -420,30 +445,29 @@ class TestSsnSolve:
     @given(r=SUBPROBLEM_R, n_extra=st.integers(0, 8), mu=MU, sigma=SIGMA, seed=SEED, max_iter=st.integers(1, 100))
     def test_direction_is_tangent_for_any_instance(self, r, n_extra, mu, sigma, seed, max_iter):
         # tangency holds to machine precision, also when the dual loop stops early
-        X, G, metric = make_instance(r + n_extra, r, seed, sigma=sigma)
+        X, G, w = make_instance(r + n_extra, r, seed, sigma=sigma)
         lam0 = random_sym(np.random.default_rng(seed), r)
-        V = ssn_solve(X, G, metric, mu, lam0, max_iter=max_iter).v.data
+        V = ssn_solve(X, G, w, mu, lam0, max_iter=max_iter).v.data
         Xa = X.data
         assert np.linalg.norm(V.T @ Xa + Xa.T @ V) <= 1e-12 * max(1.0, np.linalg.norm(V))
 
     def test_decrease_guarantee(self):
         # phi(V) - phi(0) <= -1/2 ||V||_B^2 + tol ||V||
         for seed in range(5):
-            X, G, metric = make_instance(7, 2, 100 + seed)
+            X, G, w = make_instance(7, 2, 100 + seed)
             mu = 0.4
             tol = 1e-10 * max(1.0, np.linalg.norm(G))
-            res = ssn_solve(X, G, metric, mu, None, tol, 100)
-            w = metric.weights()
+            res = ssn_solve(X, G, w, mu, None, tol, 100)
             V = res.v.data
             phi_diff = subproblem_value(X.data, G, w, mu, V) - mu * float(np.abs(X.data).sum())
-            bound = -0.5 * metric_norm_sq(metric, V) + tol * np.linalg.norm(V)
+            bound = -0.5 * metric_norm_sq(w, V) + tol * np.linalg.norm(V)
             assert phi_diff <= bound + 1e-10
 
     def test_stop_names_each_exit(self, monkeypatch):
-        X, G, metric = make_instance(6, 2, 22)
-        res = ssn_solve(X, G, metric, 0.3, None, 1e-10 * max(1.0, np.linalg.norm(G)), 100)
+        X, G, w = make_instance(6, 2, 22)
+        res = ssn_solve(X, G, w, 0.3, None, 1e-10 * max(1.0, np.linalg.norm(G)), 100)
         assert res.stop == "converged" and res.converged and res.ssn_iters > 1
-        res = ssn_solve(X, G, metric, 0.3, None, 0.0, 1)
+        res = ssn_solve(X, G, w, 0.3, None, 0.0, 1)
         assert res.stop == "max_iter" and res.ssn_iters == 1
         # St(7, 5) with weights over ten decades, at tol 1e-8: after 19
         # steps no halving of the 20th shrinks the residual or raises phi by
@@ -461,10 +485,10 @@ class TestSsnSolve:
         rng = np.random.default_rng(0)
         X = random_point(6, 2, 0)
         G = 2.0 * rng.standard_normal((6, 2))
-        metric = DiagonalMetric(10.0 ** rng.uniform(-5, 5, 6), 0.0)
-        res = ssn_solve(X, G, metric, 0.3, None, 1e-8, 100)
+        w = 10.0 ** rng.uniform(-5, 5, 6)
+        res = ssn_solve(X, G, w, 0.3, None, 1e-8, 100)
         assert res.stop == "converged" and res.residual_norm <= 1e-8
-        _, _, E, _ = dual_map(X, G, metric, 0.3, res.lam)
+        _, _, E, _ = dual_map(X, G, w, 0.3, res.lam)
         assert res.residual_norm == math.sqrt(np.vdot(E, E))
 
     def test_few_seeded_subproblems_end_far_from_the_solution(self):
@@ -477,16 +501,16 @@ class TestSsnSolve:
         assert FAR == 1e-6 and stops["converged"] >= 280
 
     def test_residual_reaches_tolerance(self, monkeypatch):
-        X, G, metric = make_instance(6, 2, 22)
+        X, G, w = make_instance(6, 2, 22)
         tol = 1e-10 * max(1.0, np.linalg.norm(G))
         history = record_residuals(monkeypatch)
-        res = ssn_solve(X, G, metric, 0.3, None, tol, 100)
+        res = ssn_solve(X, G, w, 0.3, None, tol, 100)
         assert res.converged
         assert len(history()) == res.ssn_iters + 1
         assert res.residual_norm == history()[-1] <= tol
         assert res.residual_norm <= history()[0]
         # it is the residual at the returned multiplier
-        _, _, E, _ = dual_map(X, G, metric, 0.3, res.lam)
+        _, _, E, _ = dual_map(X, G, w, 0.3, res.lam)
         assert res.residual_norm == math.sqrt(np.vdot(E, E))
 
     def test_stops_when_cycling_at_the_roundoff_floor(self, monkeypatch):
@@ -501,9 +525,9 @@ class TestSsnSolve:
         calls = []
         original = solver_module.ssn_solve
 
-        def recording(X, G, metric, mu, lam0, tol, max_iter):
-            calls.append((X, G, metric, mu, lam0))
-            return original(X, G, metric, mu, lam0, tol, max_iter)
+        def recording(X, G, w, mu, lam0, tol, max_iter):
+            calls.append((X, G, w, mu, lam0))
+            return original(X, G, w, mu, lam0, tol, max_iter)
 
         monkeypatch.setattr(solver_module, "ssn_solve", recording)
         solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
@@ -526,36 +550,44 @@ class TestSsnSolve:
         # the start is symmetrized, and every later candidate is symmetric by
         # construction
         for seed in range(3):
-            X, G, metric = make_instance(2 * r, r, 120 + seed, sigma=0.1)
+            X, G, w = make_instance(2 * r, r, 120 + seed, sigma=0.1)
             lam0 = np.random.default_rng(seed).standard_normal((r, r))
-            res = ssn_solve(X, G, metric, 0.3, lam0, 1e-12, 100)
+            res = ssn_solve(X, G, w, 0.3, lam0, 1e-12, 100)
             assert res.ssn_iters > 0
             assert np.array_equal(res.lam, res.lam.T)
 
     def test_warm_start_reuses_multiplier(self):
-        X, G, metric = make_instance(6, 2, 23)
-        first = ssn_solve(X, G, metric, 0.2)
-        again = ssn_solve(X, G, metric, 0.2, first.lam)
+        X, G, w = make_instance(6, 2, 23)
+        first = ssn_solve(X, G, w, 0.2)
+        again = ssn_solve(X, G, w, 0.2, first.lam)
         assert again.ssn_iters <= 1
         assert np.linalg.norm(again.v.data - first.v.data) <= 1e-8
 
     def test_rejects_bad_arguments(self):
-        X, G, metric = make_instance(5, 2, 24)
+        X, G, w = make_instance(5, 2, 24)
         with pytest.raises(ValueError):
-            ssn_solve(X, G, metric, 0.1, max_iter=0)
+            ssn_solve(X, G, w, 0.1, max_iter=0)
         with pytest.raises(ValueError):
-            ssn_solve(X, G, DiagonalMetric(np.zeros(5), 0.0), 0.1)
+            ssn_solve(X, G, np.zeros(5), 0.1)
         # nan fails every comparison, so w <= 0 and mu < 0 would let these through
-        for bad_metric, bad_mu in [
-            (DiagonalMetric(np.array([math.nan, 1.0, 1.0, 1.0, 1.0]), 0.0), 0.1),
-            (DiagonalMetric(metric.d, math.nan), 0.1),
-            (metric, math.nan),
+        for bad_w, bad_mu in [
+            (np.array([math.nan, 1.0, 1.0, 1.0, 1.0]), 0.1),
+            (w + math.nan, 0.1),
+            (w, math.nan),
         ]:
             with pytest.raises(ValueError):
-                ssn_solve(X, G, bad_metric, bad_mu)
+                ssn_solve(X, G, bad_w, bad_mu)
         for bad_tol in (-1e-8, math.nan):
             with pytest.raises(ValueError, match="tol"):
-                ssn_solve(X, G, metric, 0.1, tol=bad_tol)
+                ssn_solve(X, G, w, 0.1, tol=bad_tol)
+
+    @pytest.mark.parametrize("w", [np.ones(5), np.ones((10, 2)), 2.0], ids=["short", "n-by-r", "scalar"])
+    def test_rejects_weights_of_another_shape(self, w):
+        # such weights used to fail inside NumPy, on a broadcast or an index
+        X = random_point(10, 2, 0)
+        G = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=re.escape(f"{np.shape(w)}, X needs (10,)")):
+            ssn_solve(X, G, w, 0.1)
 
     @pytest.mark.parametrize(
         "grad_shape, lam_shape, bad_entry",
@@ -565,14 +597,14 @@ class TestSsnSolve:
     )
     def test_rejects_misshapen_or_nonfinite_input(self, grad_shape, lam_shape, bad_entry):
         # these broadcast against St(16, 3) or propagate into the direction
-        X, _, metric = make_instance(16, 3, 25)
+        X, _, w = make_instance(16, 3, 25)
         rng = np.random.default_rng(25)
         G = rng.standard_normal(grad_shape)
         lam0 = None if lam_shape is None else rng.standard_normal(lam_shape)
         if bad_entry is not None:
             (G if bad_entry[0] == "grad" else lam0).flat[0] = bad_entry[1]
         with pytest.raises(ValueError, match="grad_f|lam0"):
-            ssn_solve(X, G, metric, 0.2, lam0)
+            ssn_solve(X, G, w, 0.2, lam0)
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_counters_count_cg_iterations_and_halved_trials(self, monkeypatch, r):
@@ -589,9 +621,9 @@ class TestSsnSolve:
         monkeypatch.setattr(subproblem_module, "_jacobian", counting("jacobian", _jacobian))
         halvings = 0
         for seed in range(4):
-            X, G, metric = make_instance(3 * r, r, 130 + seed, sigma=0.1)
+            X, G, w = make_instance(3 * r, r, 130 + seed, sigma=0.1)
             counts.update(fields=0, jacobian=0)
-            res = ssn_solve(X, G, metric, 0.5, None, 1e-12, 100)
+            res = ssn_solve(X, G, w, 0.5, None, 1e-12, 100)
             assert res.converged and res.ssn_iters > 0
             assert counts["fields"] == 1 + res.ssn_iters + res.halvings
             assert res.cg_iters == counts["jacobian"] > 0
@@ -608,22 +640,19 @@ class TestSsnSolve:
         warm=st.booleans(),
     )
     def test_equivariant_under_power_of_two_scaling(self, shape, k, mu, sigma, seed, warm):
-        # scaling G, d, sigma, mu and lam0 by c = 2^k scales the Jacobian by
+        # scaling G, the weights w, mu and lam0 by c = 2^k scales the Jacobian by
         # 1/c and the multiplier by c exactly, and leaves the residuals, the
         # Newton path and the direction bitwise unchanged
         n, r = shape
         c = 2.0**k
-        X, G, metric = make_instance(n, r, seed, sigma=sigma)
+        X, G, w = make_instance(n, r, seed, sigma=sigma)
         lam0 = random_sym(np.random.default_rng(seed), r) if warm else None
         with pytest.MonkeyPatch.context() as mp:
             base_history = record_residuals(mp)
-            base = ssn_solve(X, G, metric, mu, lam0, 1e-10, 100)
+            base = ssn_solve(X, G, w, mu, lam0, 1e-10, 100)
         with pytest.MonkeyPatch.context() as mp:
             scaled_history = record_residuals(mp)
-            scaled = ssn_solve(
-                X, c * G, DiagonalMetric(c * metric.d, c * sigma), c * mu, None if lam0 is None else c * lam0,
-                1e-10, 100,
-            )
+            scaled = ssn_solve(X, c * G, c * w, c * mu, None if lam0 is None else c * lam0, 1e-10, 100)
         assert base.ssn_iters > 0
         assert scaled_history() == base_history()
         assert scaled.residual_norm == base.residual_norm
