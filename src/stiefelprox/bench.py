@@ -32,12 +32,9 @@ RETRACTION_NAMES = sorted(k.value for k in RetractionKind)
 
 SUMMARY_CSV_HEADER = "label,iter,F,sparsity,cpu_s,linesearch,ssn_iters,failures,nonconverged"
 
-# SolverConfig fields that --config key=val may override
-_CONFIG_FIELD_TYPES = {
-    f.name: f.type
-    for f in dataclasses.fields(SolverConfig)
-    if f.name not in ("retraction", "mode")
-}
+# SolverConfig fields that ExperimentSpec.overrides may set; the CLI gives each
+# its own flag (sigma0 -> --sigma0), typed by the field's default
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SolverConfig) if f.name not in ("mode", "retraction"))
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,15 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.seeds < 1:
             raise ValueError(f"need at least one seed, got {self.seeds}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         for m in self.modes:
             if m not in MODE_NAMES:
                 raise ValueError(f"unknown mode {m!r}")
         for rt in self.retractions:
             if rt not in RETRACTION_NAMES:
                 raise ValueError(f"unknown retraction {rt!r}")
-        unknown = set(self.overrides) - set(_CONFIG_FIELD_TYPES)
+        unknown = set(self.overrides) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         # out-of-range values fail here, not once per run inside the sweep
@@ -214,22 +213,6 @@ def emit_csv(rows: Sequence[SummaryRow], path) -> None:
             )
 
 
-def _parse_overrides(items: Optional[Sequence[str]]) -> dict:
-    overrides: dict = {}
-    for item in items or ():
-        if "=" not in item:
-            raise SystemExit(f"--config expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        if key not in _CONFIG_FIELD_TYPES:
-            raise SystemExit(f"unknown config field {key!r}")
-        convert = int if _CONFIG_FIELD_TYPES[key] in ("int", int) else float
-        try:
-            overrides[key] = convert(value)
-        except ValueError:
-            raise SystemExit(f"--config {key} expects {convert.__name__}, got {value!r}") from None
-    return overrides
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench",
@@ -244,10 +227,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seeds", type=int, default=50, help="runs per cell (seed = base+i)")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="summary CSV path")
-    parser.add_argument(
-        "--config", action="append", metavar="KEY=VAL",
-        help=f"solver config override, KEY one of: {', '.join(_CONFIG_FIELD_TYPES)}",
-    )
+    for name in _CONFIG_FIELDS:
+        default = getattr(SolverConfig, name)
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=type(default), default=default, help="default %(default)s")
     parser.add_argument("--trace-dir", default=None, help="write per-run iteration traces here")
     args = parser.parse_args(argv)
 
@@ -261,7 +244,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             retractions=tuple(args.retraction),
             seeds=args.seeds,
             base_seed=args.base_seed,
-            overrides=_parse_overrides(args.config),
+            overrides={name: getattr(args, name) for name in _CONFIG_FIELDS},
             trace_dir=args.trace_dir,
         )
         rows = run_experiment(spec)

@@ -63,10 +63,15 @@ class LbfgsMemory:
 
         Degenerate displacements (tr(s^T s) == 0) are skipped so a stalled
         step cannot poison the metric. A pair whose s and y differ in shape,
-        or with a non-finite entry, raises ValueError.
+        that is not 2-d, whose shape differs from the stored pairs', or with a
+        non-finite entry, raises ValueError.
         """
         if s.shape != y.shape:
             raise ValueError(f"s and y must have the same shape, got {s.shape} and {y.shape}")
+        if s.ndim != 2:
+            raise ValueError(f"s and y must be 2-d, got shape {s.shape}")
+        if self.pairs and s.shape != self.pairs[0].s.shape:
+            raise ValueError(f"pair shape {s.shape} differs from the stored pairs' {self.pairs[0].s.shape}")
         sts = float(np.vdot(s, s))
         sty = float(np.vdot(s, y))
         yty = float(np.vdot(y, y))
@@ -105,12 +110,15 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     then U_j and y_j fill the next 2r columns, and at the end
     diag(B) = theta + (W o W) scale. Cost O(n r^2 q^2); the n x n matrix is
     never formed. Pairs with c <= 1e-12 ||s||^2 are skipped (degenerate
-    curvature): their columns are zeroed and their scale is 0.
+    curvature): their columns are zeroed and their scale is 0. An n other
+    than the pairs' row count raises ValueError.
     """
     theta = memory.theta
     pairs = memory.pairs
     if not pairs:
         return np.full(n, theta, dtype=float)
+    if pairs[0].s.shape[0] != n:
+        raise ValueError(f"n = {n} does not match the stored pairs' {pairs[0].s.shape[0]} rows")
     r = pairs[0].s.shape[1]
     W = np.empty((n, 2 * r * len(pairs)))
     scale = np.zeros((W.shape[1], 1))

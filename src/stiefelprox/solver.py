@@ -139,7 +139,13 @@ class SolveResult:
 
 
 def nonmonotone_reference(history: Sequence[float], m: int) -> float:
-    """Max of the last min(m+1, len(history)) accepted objective values."""
+    """Max of the last min(m+1, len(history)) accepted objective values.
+
+    m must be an integer >= 0 (bool rejected); a plain int passes on its exact
+    type before the ABC check, since solve calls this once per pass.
+    """
+    if (type(m) is not int and (not isinstance(m, numbers.Integral) or isinstance(m, bool))) or m < 0:
+        raise ValueError(f"m must be an integer >= 0, got {m!r}")
     if len(history) == 0:
         raise ValueError("history must be nonempty")
     window = list(history)[-(m + 1):]

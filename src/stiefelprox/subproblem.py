@@ -205,7 +205,8 @@ def ssn_solve(
     iterate of least residual. The direction is the exact tangent projection
     of V(L), so tangency holds to machine precision however the loop ends.
     w holds the n positive metric weights, d + sigma. A misshapen grad_f,
-    lam0 or w, or a non-finite grad_f or lam0, raises ValueError.
+    lam0 or w, a non-finite grad_f or lam0, or a starting residual that
+    overflows, raises ValueError.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -238,6 +239,8 @@ def ssn_solve(
     P, V, E = fields(lam)
     res = math.sqrt(np.vdot(E, E))
     if not math.isfinite(res):
+        if np.isfinite(grad_f).all() and np.isfinite(lam).all():
+            raise ValueError(f"dual residual overflowed to {res} at the start, with grad_f and lam0 finite")
         raise ValueError(f"dual residual {res} at the start: grad_f and lam0 must be finite")
     best_res, best_lam, best_V = res, lam, V
     iters = cg_iters = halvings = 0

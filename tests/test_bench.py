@@ -45,6 +45,12 @@ class TestSpec:
         with pytest.raises(ValueError, match="base_seed must be an integer"):
             ExperimentSpec(**TINY, base_seed=base_seed)
 
+    def test_negative_base_seed_rejected(self):
+        # it used to construct, and then seed -1 failed in random_point: the
+        # row read failures=1 and averaged the one run left
+        with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+            ExperimentSpec(**TINY, base_seed=-1)
+
     def test_numpy_integer_seeds_accepted(self):
         spec = ExperimentSpec(**{**TINY, "seeds": np.int64(2)}, base_seed=np.int32(3))
         assert spec.seeds == 2 and spec.base_seed == 3
@@ -269,7 +275,7 @@ class TestCli:
                 "--retraction", "svd",
                 "--seeds", "1",
                 "--out", str(out),
-                "--config", "max_outer=2000",
+                "--max-outer", "2000",
             ]
         )
         assert rc == 0
@@ -292,23 +298,47 @@ class TestCli:
             "  cm_n16_r2_mu0.1_pg_svd: 2 failed, first error: RuntimeError: injected in pg",
         ]
 
-    def test_bad_config_key_exits(self, tmp_path):
-        cases = [
-            ("myfield=3", "unknown config field 'myfield'"),
-            ("max_outer=1e3", "--config max_outer expects int, got '1e3'"),
-            ("sigma0=fast", "--config sigma0 expects float, got 'fast'"),
-            ("window_m=3", "unknown config field 'window_m'"),
-            ("sigma0=nan", "bench: sigma0 must be a finite number, got nan"),
-            ("sigma0", "--config expects key=value, got 'sigma0'"),
+    def test_bad_config_key_exits(self, tmp_path, capsys):
+        args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--seeds", "1"]
+        args += ["--out", str(tmp_path / "x.csv")]
+        # malformed values and unknown flags: argparse names the flag and the value
+        usage_cases = [
+            (["--max-outer", "1e3"], "argument --max-outer: invalid int value: '1e3'"),
+            (["--sigma0", "fast"], "argument --sigma0: invalid float value: 'fast'"),
+            (["--window-m", "3"], "unrecognized arguments: --window-m 3"),
         ]
-        for item, message in cases:
+        for extra, message in usage_cases:
             with pytest.raises(SystemExit) as exc:
-                main(
-                    [
-                        "--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1",
-                        "--seeds", "1", "--out", str(tmp_path / "x.csv"),
-                        "--config", item,
-                    ]
-                )
+                main(args + extra)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        # well-formed values out of range: the config's own message
+        config_cases = [
+            (["--sigma0", "nan"], "bench: sigma0 must be a finite number, got nan"),
+            (["--max-outer", "-1"], "bench: max_outer must be >= 0, got -1"),
+        ]
+        for extra, message in config_cases:
+            with pytest.raises(SystemExit) as exc:
+                main(args + extra)
             assert exc.value.code == message
         assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_base_seed_exits_before_any_run(self, tmp_path, monkeypatch):
+        def never(problem, X0, config):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(bench, "solve", never)
+        out = tmp_path / "x.csv"
+        args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--seeds", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--base-seed", "-1", "--out", str(out)])
+        assert exc.value.code == "bench: base_seed must be >= 0, got -1"
+        assert not out.exists()
+
+    def test_config_flags_come_from_solver_config(self, capsys):
+        # one typed flag per SolverConfig field other than mode and retraction
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        assert "--sigma0 SIGMA0" in usage and "--max-outer MAX_OUTER" in usage
+        assert "--config" not in usage

@@ -128,6 +128,11 @@ class TestBuildDiag:
         mem.theta = 0.37
         np.testing.assert_array_equal(build_diag(mem, 6), np.full(6, 0.37))
 
+    def test_rejects_n_unlike_the_pairs_rows(self):
+        # it used to fail on a broadcast of (8, 2) into (5, 2)
+        with pytest.raises(ValueError, match="n = 5 does not match the stored pairs' 8 rows"):
+            build_diag(pushed(*rand_pair(8, 2, 4)), 5)
+
     def test_single_pair_matches_dense(self):
         mem = LbfgsMemory(capacity=5)
         s, y = rand_pair(5, 2, 3)
@@ -267,6 +272,22 @@ class TestMemory:
         with pytest.raises(ValueError, match=r"\(5, 2\) and \(2, 5\)"):
             mem.push(np.ones((5, 2)), 2.0 * np.ones((2, 5)))
         assert not mem.pairs and mem.theta == 1.0
+
+    def test_rejects_a_pair_that_is_not_2d(self):
+        # a (4,) pair used to be stored, and build_diag then raised an IndexError
+        mem = LbfgsMemory()
+        with pytest.raises(ValueError, match=r"2-d, got shape \(4,\)"):
+            mem.push(np.ones(4), 2.0 * np.ones(4))
+        assert not mem.pairs and mem.theta == 1.0
+
+    def test_rejects_a_pair_unlike_the_stored_ones(self):
+        # an (8, 3) pair after an (8, 2) one used to be stored, and build_diag
+        # then failed on a NumPy broadcast
+        mem = pushed(*rand_pair(8, 2, 4))
+        theta = mem.theta
+        with pytest.raises(ValueError, match=r"\(8, 3\) differs from the stored pairs' \(8, 2\)"):
+            mem.push(*rand_pair(8, 3, 5))
+        assert len(mem.pairs) == 1 and mem.theta == theta
 
     @pytest.mark.parametrize("which, value", [("s", np.nan), ("y", np.nan), ("y", np.inf)])
     def test_rejects_a_nonfinite_pair(self, which, value):

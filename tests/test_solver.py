@@ -130,6 +130,16 @@ class TestNonmonotoneReference:
         with pytest.raises(ValueError):
             nonmonotone_reference([], 3)
 
+    @pytest.mark.parametrize("m", [-1, -3, True, 2.5])
+    def test_bad_window_rejected(self, m):
+        # on [3, 1, 2], -1 returned the whole history's 3.0, -3 returned 2.0,
+        # True was read as 1, and 2.5 raised a TypeError from slicing
+        with pytest.raises(ValueError, match="m must be an integer >= 0"):
+            nonmonotone_reference([3.0, 1.0, 2.0], m)
+
+    def test_numpy_integer_window_accepted(self):
+        assert nonmonotone_reference([3.0, 1.0, 2.0], np.int64(2)) == 3.0
+
     def test_window_fits_in_the_solvers_objective_history(self):
         # solve keeps FLATNESS_WINDOW + 1 accepted values and feeds the
         # nonmonotone reference from them, so its window must fit

@@ -275,6 +275,23 @@ def test_feasibility_residual_cases():
     assert feasibility_residual(X) <= 1e-12
 
 
+@pytest.mark.parametrize("raw", [np.ones(3), np.ones((2, 3, 1)), 1.0])
+def test_feasibility_residual_needs_a_matrix(raw):
+    # np.ones(3) used to raise an IndexError
+    with pytest.raises(ValueError, match="expected a 2-d array"):
+        feasibility_residual(raw)
+
+
+def test_reprs():
+    E = np.zeros((6, 2))
+    E[0, 0] = E[1, 1] = 1.0
+    V = np.zeros((6, 2))
+    V[2, 0], V[3, 1] = 3.0, 4.0
+    X = StiefelPoint(E)
+    assert repr(X) == "StiefelPoint(n=6, r=2)"
+    assert repr(TangentVector(V, X)) == "TangentVector(shape=(6, 2), norm=5.000e+00)"
+
+
 def test_construction_reorthonormalizes():
     rng = np.random.default_rng(5)
     raw = random_point(8, 3, 5).data + 1e-6 * rng.standard_normal((8, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import stiefelprox.solver as solver_module
 import stiefelprox.subproblem as subproblem_module
-from stiefelprox import make_spca, random_point, solve, ssn_solve
+from stiefelprox import make_cm, make_spca, random_point, solve, ssn_solve
 from stiefelprox.metric import LbfgsMemory, metric_norm_sq
 from stiefelprox.subproblem import _cg_symmetric, _dual_rise, _fields, _jacobi_diag, _jacobian
 from oracles import cg_symmetric_reference, dual_value, kkt_direction, splitting_direction, subproblem_value
@@ -605,6 +606,16 @@ class TestSsnSolve:
             (G if bad_entry[0] == "grad" else lam0).flat[0] = bad_entry[1]
         with pytest.raises(ValueError, match="grad_f|lam0"):
             ssn_solve(X, G, w, 0.2, lam0)
+
+    def test_overflowing_residual_names_the_overflow(self):
+        # f and grad f scaled by 1e200 are finite, but ||E||^2 overflows: the
+        # error used to say that grad_f and lam0 must be finite
+        p = make_cm(16, 2, 0.1)
+        big = dataclasses.replace(
+            p, eval_f=lambda X: 1e200 * p.eval_f(X), eval_grad_f=lambda X: 1e200 * p.eval_grad_f(X)
+        )
+        with pytest.raises(ValueError, match="overflowed to inf at the start, with grad_f and lam0 finite"):
+            solve(big, random_point(16, 2, 0))
 
     @pytest.mark.parametrize("r", [4, 20])
     def test_counters_count_cg_iterations_and_halved_trials(self, monkeypatch, r):
