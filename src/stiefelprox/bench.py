@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import numbers
 import os
 import time
@@ -51,8 +52,10 @@ class ExperimentSpec:
     trace_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not (self.n_values and self.r_values and self.mu_values and self.modes and self.retractions):
-            raise ValueError("every sweep list must be nonempty")
+        for name in ("n_values", "r_values", "mu_values", "modes", "retractions"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not values:
+                raise ValueError(f"{name} must be a nonempty tuple or list, got {values!r}")
         if self.problem not in PROBLEM_NAMES:
             raise ValueError(f"unknown problem {self.problem!r}")
         for name in ("seeds", "base_seed"):
@@ -74,10 +77,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         # out-of-range values fail here, not once per run inside the sweep
         SolverConfig(**self.overrides)
-        for n in self.n_values:
-            for r in self.r_values:
-                for mu in self.mu_values:
-                    check_problem_args(self.problem, n, r, mu)
+        for n, r, mu in itertools.product(self.n_values, self.r_values, self.mu_values):
+            check_problem_args(self.problem, n, r, mu)
 
 
 @dataclass(frozen=True)
@@ -103,41 +104,31 @@ class SummaryRow:
 
 
 def build_config(mode: str, retraction: str, overrides: dict) -> SolverConfig:
-    kwargs = dict(overrides)
-    kwargs["mode"] = Mode(mode)
-    kwargs["retraction"] = RetractionKind(retraction)
-    return SolverConfig(**kwargs)
+    return SolverConfig(**{**overrides, "mode": Mode(mode), "retraction": RetractionKind(retraction)})
 
 
 def run_label(kind: str, n: int, r: int, mu: float, mode: str, retraction: str) -> str:
     return f"{kind}_n{n}_r{r}_mu{mu:g}_{mode}_{retraction}"
 
 
-def _run_single(task: tuple) -> dict:
-    """Worker: one (instance, seed) solve; returns plain stats for aggregation."""
-    kind, n, r, mu, mode, retraction, seed, overrides, trace_path = task
+def _run_single(task: tuple) -> tuple[tuple, bool] | str:
+    """Worker: one (instance, seed) solve. Returns SummaryRow's six statistics,
+    in field order, and whether the run converged, or the error text if it raised."""
+    kind, n, r, mu, config, seed, trace_path = task
     try:
         problem = make_problem(kind, n, r, mu, seed)
-        config = build_config(mode, retraction, overrides)
         X0 = random_point(n, r, seed)
         t0 = time.perf_counter()
         result = solve(problem, X0, config)
         cpu = time.perf_counter() - t0
         if trace_path is not None:
             write_trace_csv(result.trace, trace_path)
-        iters = len(result.trace)
-        return {
-            "ok": True,
-            "iter": iters,
-            "F": problem.objective(result.point.data),
-            "sparsity": sparsity(result.point.data),
-            "cpu_s": cpu,
-            "linesearch": sum(t.ls_trials for t in result.trace),
-            "ssn_iters": sum(t.ssn_iters for t in result.trace) / max(1, iters),
-            "status": result.status.value,
-        }
+        trace, X = result.trace, result.point.data
+        ls_trials, ssn_iters = sum(t.ls_trials for t in trace), sum(t.ssn_iters for t in trace)
+        stats = (len(trace), problem.objective(X), sparsity(X), cpu, ls_trials, ssn_iters / max(1, len(trace)))
+        return stats, result.status is Status.CONVERGED
     except Exception as exc:  # isolated: a failed run must not abort the sweep
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _pool_size(n_tasks: int) -> int:
@@ -150,14 +141,7 @@ def _pool_size(n_tasks: int) -> int:
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     """One SummaryRow per (sweep point, mode, retraction), seed-averaged."""
-    cells = [
-        (n, r, mu, mode, retraction)
-        for n in spec.n_values
-        for r in spec.r_values
-        for mu in spec.mu_values
-        for mode in spec.modes
-        for retraction in spec.retractions
-    ]
+    cells = list(itertools.product(spec.n_values, spec.r_values, spec.mu_values, spec.modes, spec.retractions))
     labels = [run_label(spec.problem, *cell) for cell in cells]
     trace_dir = Path(spec.trace_dir) if spec.trace_dir else None
     if trace_dir is not None:
@@ -165,9 +149,10 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
 
     tasks = []
     for label, (n, r, mu, mode, retraction) in zip(labels, cells):
+        config = build_config(mode, retraction, spec.overrides)
         for seed in range(spec.base_seed, spec.base_seed + spec.seeds):
             tpath = str(trace_dir / f"{label}_seed{seed}.csv") if trace_dir else None
-            tasks.append((spec.problem, n, r, mu, mode, retraction, seed, spec.overrides, tpath))
+            tasks.append((spec.problem, n, r, mu, config, seed, tpath))
 
     # results come back in task order, so each cell's runs are one slice
     workers = _pool_size(len(tasks))
@@ -180,22 +165,12 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     rows = []
     for ci, label in enumerate(labels):
         cell = outs[ci * spec.seeds : (ci + 1) * spec.seeds]
-        good = [o for o in cell if o["ok"]]
-        if good:
-            keys = ("iter", "F", "sparsity", "cpu_s", "linesearch", "ssn_iters")
-            stats = [float(np.mean([o[key] for o in good])) for key in keys]
-        else:
-            stats = [0.0, float("nan"), float("nan"), 0.0, 0.0, 0.0]
-        errors = [o["error"] for o in cell if not o["ok"]]
-        rows.append(
-            SummaryRow(
-                label,
-                *stats,
-                failures=len(errors),
-                nonconverged=sum(o["status"] != Status.CONVERGED.value for o in good),
-                error=errors[0] if errors else "",
-            )
-        )
+        errors = [o for o in cell if isinstance(o, str)]
+        good = [o for o in cell if not isinstance(o, str)]
+        # averaged over the runs that returned; with none, no iterations and no F
+        stats = [float(np.mean(col)) for col in zip(*(s for s, _ in good))] or [0.0, np.nan, np.nan, 0.0, 0.0, 0.0]
+        nonconverged = sum(not converged for _, converged in good)
+        rows.append(SummaryRow(label, *stats, len(errors), nonconverged, errors[0] if errors else ""))
     return rows
 
 
@@ -206,11 +181,8 @@ def emit_csv(rows: Sequence[SummaryRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SUMMARY_CSV_HEADER + "\n")
         for row in rows:
-            fh.write(
-                f"{row.label},{row.iterations:.6g},{row.F:.6g},{row.sparsity:.6g},"
-                f"{row.cpu_s:.6g},{row.linesearch:.6g},{row.ssn_iters:.6g},{row.failures},"
-                f"{row.nonconverged}\n"
-            )
+            label, *stats, failures, nonconverged, _ = dataclasses.astuple(row)
+            fh.write(",".join([label, *(f"{x:.6g}" for x in stats), str(failures), str(nonconverged)]) + "\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

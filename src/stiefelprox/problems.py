@@ -146,8 +146,8 @@ def make_problem(kind: str, n: int, r: int, mu: float, seed: int = 0) -> Composi
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def sparsity(X: np.ndarray, threshold: float = SPARSITY_THRESHOLD) -> float:
-    """Fraction of entries with magnitude at most threshold."""
+def sparsity(X: np.ndarray) -> float:
+    """Fraction of entries with magnitude at most SPARSITY_THRESHOLD."""
     X = np.asarray(X)
-    return float(np.count_nonzero(np.abs(X) <= threshold)) / X.size
+    return float(np.count_nonzero(np.abs(X) <= SPARSITY_THRESHOLD)) / X.size
 

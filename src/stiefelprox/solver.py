@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -104,12 +105,12 @@ class TraceRecord(NamedTuple):
     backtracks: int
     ssn_iters: int
     resolves: int
-    rejected_rhos: tuple = ()
-    ls_trials: int = 0
-    ssn_tol: float = math.nan
-    cg_iters: int = 0
-    halvings: int = 0
-    unconverged: int = 0
+    rejected_rhos: tuple
+    ls_trials: int
+    ssn_tol: float
+    cg_iters: int
+    halvings: int
+    unconverged: int
 
 
 # The trace CSV's columns are TraceRecord's fields but rejected_rhos, in
@@ -269,7 +270,10 @@ def solve(
     the last two accepted multipliers (iteration 0 at zero, iteration 1 at
     L_0); a re-solve after a rejection starts from the previous pass's
     multiplier. X0 must have the problem's shape, and the problem's mu and
-    lipschitz_estimate must be finite real numbers >= 0 (bool rejected).
+    lipschitz_estimate must be finite real numbers >= 0 (bool rejected), the
+    estimate with a finite square. Outside the proximal-gradient mode, sigma0
+    must be at most L/eps (eps the machine epsilon): above it G/w falls below
+    the rounding of X and the run cannot move.
     """
     cfg = config if config is not None else SolverConfig()
     X = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
@@ -286,7 +290,15 @@ def solve(
     stop_tol = cfg.tol_factor * n * r
     # the gradient's Lipschitz constant, floored so a flat objective has a scale
     L = max(float(problem.lipschitz_estimate), 1e-3)
-    grad_stop_tol = L ** 2 * stop_tol
+    try:
+        grad_stop_tol = L ** 2 * stop_tol
+    except OverflowError:
+        raise ValueError(f"problem.lipschitz_estimate {L!r} is too large: its square overflows") from None
+    # above L/eps, G/w falls below the rounding of X and V = prox(X - G/w) - X
+    # rounds to zero, so the run would stop or stall at X0
+    if not pg_mode and cfg.sigma0 > L / sys.float_info.epsilon:
+        raise ValueError(f"sigma0 must be at most L/eps = {L / sys.float_info.epsilon:.3g} "
+                         f"(L the floored lipschitz_estimate), got {cfg.sigma0!r}")
 
     memory = LbfgsMemory()
     # the quasi-Newton diagonal, rebuilt after each curvature pair: the

@@ -121,8 +121,8 @@ class SubproblemResult(NamedTuple):
     # why the loop ended: "converged", "max_iter" or "no_step" (no halving of
     # the Newton step passed the residual or the dual ascent test)
     stop: str
-    cg_iters: int = 0  # CG iterations over all Newton steps
-    halvings: int = 0  # halved Newton trials evaluated
+    cg_iters: int  # CG iterations over all Newton steps
+    halvings: int  # halved Newton trials evaluated
 
     @property
     def converged(self) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from stiefelprox.solver import Mode, Status, TRACE_CSV_HEADER
 from stiefelprox.stiefel import RetractionKind
 
 TINY = dict(problem="cm", n_values=(16,), r_values=(2,), mu_values=(0.1,), seeds=2)
+# SHA-256 of the summary CSV, cpu_s column dropped, of CM(16|32,2,0.1) under
+# nls, pg and arpqn with seeds 0 and 1
+PINNED_SWEEP_SUMMARY_CSV = "2bdd03d5f7d914ac931a63944ec0d3964c3aedf11ff5a710f1e1cf011f23aac2"
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +104,16 @@ class TestSpec:
         # an out-of-range value fails at construction, not as a failed run per seed
         with pytest.raises(ValueError, match="max_outer"):
             ExperimentSpec(**TINY, overrides={"max_outer": -1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("modes", "nls"), ("retractions", "svd"), ("n_values", 16), ("mu_values", 0.1)],
+    )
+    def test_sweep_list_that_is_a_string_or_scalar_rejected(self, field, value):
+        # a string used to be read as its characters ("unknown mode 'n'") and a
+        # scalar raised a TypeError that the CLI's ValueError handler missed
+        with pytest.raises(ValueError, match=f"{field} must be a nonempty tuple or list, got {value!r}"):
+            ExperimentSpec(**{**TINY, field: value})
 
     def test_non_integer_override_rejected(self):
         # before SolverConfig checked types, this built a spec whose every run
@@ -260,6 +274,17 @@ class TestEmitCsv:
         assert len(fields) == len(header.split(","))
         assert float(fields[1]) == 110.0
         assert (int(fields[7]), int(fields[8])) == (1, 2)
+
+    def test_sweep_summary_matches_pinned_digest(self, tmp_path):
+        # the whole summary CSV of a small serial sweep but its timing column:
+        # pins the header, the row order, every average and every format
+        spec = ExperimentSpec(**{**TINY, "n_values": (16, 32)}, modes=("nls", "pg", "arpqn"))
+        path = tmp_path / "summary.csv"
+        emit_csv(run_experiment(spec), path)
+        lines = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+        col = lines[0].index("cpu_s")
+        kept = "".join(",".join(f[:col] + f[col + 1 :]) + "\n" for f in lines)
+        assert hashlib.sha256(kept.encode()).hexdigest() == PINNED_SWEEP_SUMMARY_CSV
 
 
 class TestCli:

@@ -265,7 +265,7 @@ class TestSparsity:
 
     def test_threshold_boundary_counts(self):
         X = np.full((1, 2), 1e-5)
-        assert sparsity(X, threshold=1e-5) == 1.0
+        assert sparsity(X) == 1.0
 
 
 def test_objective_invariant_under_zero_retraction():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,45 @@ class TestSolve:
             res = solve(prob, random_point(64, 4, seed), SolverConfig(sigma0=sigma0))
             assert res.status is Status.CONVERGED
             assert abs(prob.objective(res.point.data) - 1.425) <= 0.02
+
+    @pytest.mark.parametrize("mode", [Mode.NONMONOTONE, Mode.MONOTONE])
+    @pytest.mark.parametrize(
+        "kind, n, r, mu, sigma0, bound",
+        [
+            ("cm", 64, 4, 0.1, 1e20, "2.95e+16"),
+            ("cm", 64, 4, 0.1, 1e17, "2.95e+16"),
+            ("spca", 40, 4, 0.5, 1e20, "3.19e+16"),
+        ],
+    )
+    def test_sigma0_above_l_over_eps_rejected(self, mode, kind, n, r, mu, sigma0, bound):
+        # above L/eps, G/w falls below the rounding of X and V rounds to zero:
+        # 1e20 returned CONVERGED at F(X0) after 0 iterations, and 1e17 ran
+        # all 2000 iterations without moving
+        prob = make_problem(kind, n, r, mu, 0)
+        message = rf"sigma0 must be at most L/eps = {re.escape(bound)} .*got {re.escape(repr(sigma0))}"
+        with pytest.raises(ValueError, match=message):
+            solve(prob, random_point(n, r, 0), SolverConfig(sigma0=sigma0, mode=mode, max_outer=2000))
+
+    @pytest.mark.parametrize("mode, sigma0", [(Mode.NONMONOTONE, 1e16), (Mode.PROX_GRAD, 1e20)])
+    def test_sigma0_below_the_bound_or_unused_still_converges(self, mode, sigma0):
+        # 1e16 is below L/eps = 2.95e16 on CM(64,4,0.1); pg never reads sigma0
+        prob = make_cm(64, 4, 0.1)
+        res = solve(prob, random_point(64, 4, 0), SolverConfig(sigma0=sigma0, mode=mode))
+        assert res.status is Status.CONVERGED
+        assert abs(prob.objective(res.point.data) - 1.425) <= 0.02
+
+    def test_lipschitz_estimate_whose_square_overflows_rejected(self):
+        # f, grad f and the estimate scaled by 1e200 pass the finiteness check;
+        # L ** 2 used to raise a bare OverflowError
+        base = make_cm(16, 2, 0.1)
+        scaled = dataclasses.replace(
+            base,
+            eval_f=lambda X: 1e200 * base.eval_f(X),
+            eval_grad_f=lambda X: 1e200 * np.asarray(base.eval_grad_f(X)),
+            lipschitz_estimate=1e200 * base.lipschitz_estimate,
+        )
+        with pytest.raises(ValueError, match="problem.lipschitz_estimate .* its square overflows"):
+            solve(scaled, random_point(16, 2, 0))
 
     def test_inconsistent_gradient_stalls(self):
         base = make_cm(16, 2, 0.1)
