@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import numbers
 import os
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._checks import check_integer
 from .problems import check_problem_args, make_problem, sparsity
 from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
@@ -56,22 +57,16 @@ class ExperimentSpec:
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or not values:
                 raise ValueError(f"{name} must be a nonempty tuple or list, got {values!r}")
-        if self.problem not in PROBLEM_NAMES:
-            raise ValueError(f"unknown problem {self.problem!r}")
-        for name in ("seeds", "base_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.seeds < 1:
-            raise ValueError(f"need at least one seed, got {self.seeds}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        for m in self.modes:
-            if m not in MODE_NAMES:
-                raise ValueError(f"unknown mode {m!r}")
-        for rt in self.retractions:
-            if rt not in RETRACTION_NAMES:
-                raise ValueError(f"unknown retraction {rt!r}")
+        choices = (("problem", (self.problem,), PROBLEM_NAMES), ("mode", self.modes, MODE_NAMES),
+                   ("retraction", self.retractions, RETRACTION_NAMES))
+        for kind, values, known in choices:
+            for value in values:
+                if value not in known:
+                    raise ValueError(f"unknown {kind} {value!r}")
+        check_integer("seeds", self.seeds, 1)
+        check_integer("base_seed", self.base_seed, 0)
+        if not isinstance(self.overrides, Mapping):
+            raise ValueError(f"overrides must be a mapping, got {self.overrides!r}")
         unknown = set(self.overrides) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")

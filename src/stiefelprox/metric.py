@@ -9,11 +9,12 @@ metric is diag(B) + sigma * I, passed around as its weights w = d + sigma.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
+
+from ._checks import check_integer
 
 
 class CurvaturePair(NamedTuple):
@@ -41,9 +42,7 @@ class LbfgsMemory:
     theta_floor: ClassVar[float] = 1e-3  # lower bound on theta, readable but not a keyword
 
     def __post_init__(self) -> None:
-        capacity = self.capacity
-        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity < 1:
-            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
+        check_integer("capacity", self.capacity, 1)
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
         """Store a new raw pair: refresh theta, damp, append, trim to capacity.
@@ -110,9 +109,10 @@ def build_diag(memory: LbfgsMemory, n: int) -> np.ndarray:
     then U_j and y_j fill the next 2r columns, and at the end
     diag(B) = theta + (W o W) scale. Cost O(n r^2 q^2); the n x n matrix is
     never formed. Pairs with c <= 1e-12 ||s||^2 are skipped (degenerate
-    curvature): their columns are zeroed and their scale is 0. An n other
-    than the pairs' row count raises ValueError.
+    curvature): their columns are zeroed and their scale is 0. An n that is
+    not an integer >= 1 or not the pairs' row count raises ValueError.
     """
+    check_integer("n", n, 1)
     theta = memory.theta
     pairs = memory.pairs
     if not pairs:

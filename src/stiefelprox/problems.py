@@ -8,12 +8,12 @@ Both are l1-regularized trace problems over the Stiefel manifold:
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from ._checks import check_integer, check_real
 
 SPARSITY_THRESHOLD = 1e-5
 SPCA_SAMPLES = 50
@@ -34,23 +34,15 @@ class CompositeProblem:
 
 
 def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
-    """Raise ValueError unless make_problem can build this "cm" or "spca"
-    instance: integer sizes with 1 <= r <= n, n >= 4 grid points for "cm",
-    and a finite mu >= 0 (NumPy numbers accepted, bool rejected).
-
-    Plain int and float pass on their exact type before the ABC checks,
-    which cost about 1 us each, a few percent of a CM(64, 4) set-up.
-    """
-    for name, value in (("n", n), ("r", r)):
-        if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    """Raise ValueError unless make_problem can build this "cm" or "spca" instance:
+    integer sizes with 1 <= r <= n, n >= 4 grid points for "cm" and a finite mu >= 0."""
+    check_integer("n", n)
+    check_integer("r", r)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
     if kind == "cm" and n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
-    if not ((type(mu) is float or isinstance(mu, numbers.Real) and not isinstance(mu, bool))
-            and math.isfinite(mu) and mu >= 0):
-        raise ValueError(f"mu must be a finite number >= 0, got {mu!r}")
+    check_real("mu", mu, 0)
 
 
 def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
@@ -111,6 +103,7 @@ def make_spca(
     it must be a finite 2-d array with n columns.
     """
     check_problem_args("spca", n, r, mu)
+    check_integer("seed", seed, 0)
     if data is not None:
         A = np.array(data, dtype=float)
         if A.ndim != 2 or A.shape[1] != n:

@@ -14,7 +14,6 @@ shares the same loop.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .metric import LbfgsMemory, build_diag, metric_norm_sq
 from .problems import CompositeProblem
 from .stiefel import RetractionKind, StiefelPoint, TangentVector, project_tangent, retract
@@ -71,15 +71,8 @@ class SolverConfig:
     max_inner_sigma: ClassVar[int] = 30
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.sigma0, numbers.Real) and not isinstance(self.sigma0, bool)
-                and math.isfinite(self.sigma0)):
-            raise ValueError(f"sigma0 must be a finite number, got {self.sigma0!r}")
-        if self.sigma0 <= 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if not isinstance(self.max_outer, numbers.Integral) or isinstance(self.max_outer, bool):
-            raise ValueError(f"max_outer must be an integer, got {self.max_outer!r}")
-        if self.max_outer < 0:
-            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
+        check_real("sigma0", self.sigma0, 0, strict=True)
+        check_integer("max_outer", self.max_outer, 0)
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
         if not isinstance(self.retraction, RetractionKind):
@@ -140,13 +133,8 @@ class SolveResult:
 
 
 def nonmonotone_reference(history: Sequence[float], m: int) -> float:
-    """Max of the last min(m+1, len(history)) accepted objective values.
-
-    m must be an integer >= 0 (bool rejected); a plain int passes on its exact
-    type before the ABC check, since solve calls this once per pass.
-    """
-    if (type(m) is not int and (not isinstance(m, numbers.Integral) or isinstance(m, bool))) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m!r}")
+    """Max of the last min(m+1, len(history)) accepted objective values; m is an integer >= 0."""
+    check_integer("m", m, 0)
     if len(history) == 0:
         raise ValueError("history must be nonempty")
     window = list(history)[-(m + 1):]
@@ -281,9 +269,8 @@ def solve(
     expected = (problem.descriptor.get("n", n), problem.descriptor.get("r", r))
     if (n, r) != expected:
         raise ValueError(f"X0 has shape {(n, r)}, the problem needs {expected}")
-    for name, value in (("lipschitz_estimate", problem.lipschitz_estimate), ("mu", problem.mu)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-            raise ValueError(f"problem.{name} must be a finite number >= 0, got {value!r}")
+    check_real("problem.lipschitz_estimate", problem.lipschitz_estimate, 0)
+    check_real("problem.mu", problem.mu, 0)
     mu = problem.mu
     pg_mode = cfg.mode is Mode.PROX_GRAD
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m

@@ -14,6 +14,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import check_integer
+
 FEASIBILITY_TOL = 1e-10
 TANGENCY_TOL = 1e-8
 # Gram condition number above which the polar retraction takes one refinement step
@@ -217,8 +219,11 @@ def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = Retractio
 
 def random_point(n: int, r: int, seed: int) -> StiefelPoint:
     """Orthonormalized QR factor of a seeded n x r standard Gaussian matrix."""
+    check_integer("n", n)
+    check_integer("r", r)
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return StiefelPoint(_qf(rng.standard_normal((n, r))))
 

@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import check_integer, check_real
 from .stiefel import StiefelPoint, TangentVector, project_tangent
 
 # Newton globalization constants: residual-reduction acceptance, Armijo slope
@@ -208,11 +209,9 @@ def ssn_solve(
     lam0 or w, a non-finite grad_f or lam0, or a starting residual that
     overflows, raises ValueError.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    # negated comparisons, so that a nan mu, tol or weight fails them too
-    if not mu >= 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
+    check_integer("max_iter", max_iter, 1)
+    check_real("mu", mu, 0)
+    # negated comparisons, so that a nan tol or weight fails them too
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     Xa = X.data

@@ -47,6 +47,20 @@ def test_solver_imports_no_private_name_from_a_sibling():
     assert private == []
 
 
+def test_only_the_checks_module_imports_numbers():
+    # every scalar type test goes through stiefelprox._checks, so that each
+    # boundary accepts and rejects the same values with the same message
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "_checks.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    )
+    assert importers == []
+
+
 def test_bench_module_runs_without_a_runtime_warning():
     # importing stiefelprox.bench from the package put it in sys.modules before
     # `python -m` executed it, which runpy reports as a RuntimeWarning

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -52,8 +53,14 @@ class TestSpec:
     def test_negative_base_seed_rejected(self):
         # it used to construct, and then seed -1 failed in random_point: the
         # row read failures=1 and averaged the one run left
-        with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="base_seed must be an integer >= 0, got -1"):
             ExperimentSpec(**TINY, base_seed=-1)
+
+    @pytest.mark.parametrize("overrides", [None, ["sigma0"]])
+    def test_overrides_that_are_not_a_mapping_rejected(self, overrides):
+        # both used to raise a TypeError, which the CLI's ValueError handler missed
+        with pytest.raises(ValueError, match=re.escape(f"overrides must be a mapping, got {overrides!r}")):
+            ExperimentSpec(**TINY, overrides=overrides)
 
     def test_numpy_integer_seeds_accepted(self):
         spec = ExperimentSpec(**{**TINY, "seeds": np.int64(2)}, base_seed=np.int32(3))
@@ -339,8 +346,8 @@ class TestCli:
             assert message in capsys.readouterr().err
         # well-formed values out of range: the config's own message
         config_cases = [
-            (["--sigma0", "nan"], "bench: sigma0 must be a finite number, got nan"),
-            (["--max-outer", "-1"], "bench: max_outer must be >= 0, got -1"),
+            (["--sigma0", "nan"], "bench: sigma0 must be a finite number > 0, got nan"),
+            (["--max-outer", "-1"], "bench: max_outer must be an integer >= 0, got -1"),
         ]
         for extra, message in config_cases:
             with pytest.raises(SystemExit) as exc:
@@ -357,7 +364,7 @@ class TestCli:
         args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--seeds", "1"]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--base-seed", "-1", "--out", str(out)])
-        assert exc.value.code == "bench: base_seed must be >= 0, got -1"
+        assert exc.value.code == "bench: base_seed must be an integer >= 0, got -1"
         assert not out.exists()
 
     def test_config_flags_come_from_solver_config(self, capsys):

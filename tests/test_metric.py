@@ -133,6 +133,12 @@ class TestBuildDiag:
         with pytest.raises(ValueError, match="n = 5 does not match the stored pairs' 8 rows"):
             build_diag(pushed(*rand_pair(8, 2, 4)), 5)
 
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_rejects_n_that_is_not_a_positive_integer(self, n):
+        # 2.5 used to raise NumPy's TypeError from np.full
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
+            build_diag(LbfgsMemory(), n)
+
     def test_single_pair_matches_dense(self):
         mem = LbfgsMemory(capacity=5)
         s, y = rand_pair(5, 2, 3)

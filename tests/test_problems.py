@@ -230,11 +230,21 @@ class TestMakeProblem:
             make(n, r, 0.1)
 
     @pytest.mark.parametrize("make", [make_cm, make_spca])
-    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan, "0.1", None, True])
+    @pytest.mark.parametrize(
+        "mu", [np.inf, -np.inf, np.nan, "0.1", None, True, pytest.param(10**400, id="int-above-float-max")]
+    )
     def test_rejects_mu_that_is_not_a_finite_number(self, make, mu):
-        # mu = inf used to end solve with NONFINITE
+        # mu = inf used to end solve with NONFINITE, and an int above the
+        # largest float raised OverflowError
         with pytest.raises(ValueError, match="mu must be a finite number"):
             make(16, 2, mu)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, None])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # 1.5 used to raise NumPy's TypeError, -1 its bare "expected
+        # non-negative integer", and None drew unseeded data
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            make_spca(16, 2, 0.1, seed)
 
     @pytest.mark.parametrize("make", [make_cm, make_spca])
     def test_accepts_numpy_integers_and_floats(self, make):

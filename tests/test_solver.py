@@ -87,6 +87,7 @@ class TestConfig:
             dict(theta_floor=math.nan),
             dict(tol_factor=math.nan),
             dict(sigma0=True),
+            dict(sigma0=10**400),  # no float holds it; it used to raise OverflowError
         ],
     )
     def test_rejects_bad_values(self, bad):

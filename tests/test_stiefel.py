@@ -245,9 +245,21 @@ def test_random_point_seed_sweep():
         assert feasibility_residual(random_point(16, 4, seed)) <= 1e-12
 
 
-def test_random_point_rejects_wide():
-    with pytest.raises(ValueError):
-        random_point(3, 5, 0)
+@pytest.mark.parametrize(
+    "n, r, seed, match",
+    [
+        (3, 5, 0, "1 <= r <= n"),
+        # these used to raise NumPy's TypeError or its bare seed message
+        (64.5, 4, 0, "n must be an integer, got 64.5"),
+        (True, True, 0, "n must be an integer, got True"),
+        (16, 4, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (16, 4, -1, "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["wide", "fractional-n", "bool-sizes", "fractional-seed", "negative-seed"],
+)
+def test_random_point_rejects_wide(n, r, seed, match):
+    with pytest.raises(ValueError, match=match):
+        random_point(n, r, seed)
 
 
 def test_point_needs_at_least_one_column():

@@ -564,6 +564,23 @@ class TestSsnSolve:
         assert again.ssn_iters <= 1
         assert np.linalg.norm(again.v.data - first.v.data) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(max_iter=2.5), "max_iter must be an integer >= 1, got 2.5"),
+            (dict(max_iter=True), "max_iter must be an integer >= 1, got True"),
+            (dict(mu=True), "mu must be a finite number >= 0, got True"),
+            (dict(mu=math.inf), "mu must be a finite number >= 0, got inf"),
+        ],
+        ids=["fractional-max-iter", "bool-max-iter", "bool-mu", "infinite-mu"],
+    )
+    def test_rejects_non_integer_max_iter_and_non_finite_mu(self, kwargs, message):
+        # 2.5 ran 3 Newton steps and True ran 1; mu = True was accepted, and
+        # inf ended at "no_step" after two RuntimeWarnings
+        X, G, w = make_instance(5, 2, 24)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ssn_solve(X, G, w, **{"mu": 0.1, **kwargs})
+
     def test_rejects_bad_arguments(self):
         X, G, w = make_instance(5, 2, 24)
         with pytest.raises(ValueError):
