@@ -4,7 +4,7 @@ Every run regenerates its instance and initial point from (kind, n, r, mu,
 seed) so sweeps are reproducible bit for bit; only the cpu_s column varies
 between repetitions. Runs are independent and execute on a process pool whose
 size is capped by the BENCH_THREADS environment variable (0 or unset: one
-worker per CPU).
+worker per CPU this process may use).
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ def _run_single(task: tuple) -> tuple[tuple, bool] | str:
 def _pool_size(n_tasks: int) -> int:
     raw = os.environ.get("BENCH_THREADS", "") or "0"
     if not raw.isdecimal():
-        raise ValueError(f"BENCH_THREADS must be an integer >= 0 (0 means every CPU), got {raw!r}")
-    workers = int(raw) or os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
+        raise ValueError(f"BENCH_THREADS must be an integer >= 0 (0 means every usable CPU), got {raw!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(int(raw) or cpus, n_tasks))
 
 
 def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_integer, check_real
+from ._checks import check_integer, check_real, check_sizes
 
 SPARSITY_THRESHOLD = 1e-5
 SPCA_SAMPLES = 50
@@ -36,10 +36,7 @@ class CompositeProblem:
 def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
     """Raise ValueError unless make_problem can build this "cm" or "spca" instance:
     integer sizes with 1 <= r <= n, n >= 4 grid points for "cm" and a finite mu >= 0."""
-    check_integer("n", n)
-    check_integer("r", r)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
+    check_sizes(n, r)
     if kind == "cm" and n < 4:
         raise ValueError(f"need n >= 4 grid points, got {n}")
     check_real("mu", mu, 0)
@@ -131,8 +128,9 @@ def make_spca(
 
 
 def make_problem(kind: str, n: int, r: int, mu: float, seed: int = 0) -> CompositeProblem:
-    """Deterministic instance regeneration from (kind, n, r, mu, seed)."""
+    """Deterministic instance regeneration from (kind, n, r, mu, seed), seed >= 0 for every kind."""
     if kind == "cm":
+        check_integer("seed", seed, 0)  # unused by "cm"; make_spca checks its own
         return make_cm(n, r, mu)
     if kind == "spca":
         return make_spca(n, r, mu, seed)

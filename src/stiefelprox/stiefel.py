@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._checks import check_integer
+from ._checks import check_integer, check_sizes
 
 FEASIBILITY_TOL = 1e-10
 TANGENCY_TOL = 1e-8
@@ -79,11 +79,8 @@ class StiefelPoint:
         X = np.array(data, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"expected a 2-d array, got ndim={X.ndim}")
-        n, r = X.shape
-        if not 1 <= r <= n:
-            raise ValueError(f"need 1 <= r <= n columns, got shape {X.shape}")
-        feas = _feasibility(X)
-        if not feas <= FEASIBILITY_TOL:
+        check_sizes(*X.shape)
+        if not _feasibility(X) <= FEASIBILITY_TOL:
             # any nan or inf entry makes the residual non-finite, so finite
             # feasible input pays for no further check
             if not np.isfinite(X).all():
@@ -91,8 +88,7 @@ class StiefelPoint:
             X = _polar_factor(X)
         X.flags.writeable = False
         self.data = X
-        self.n = n
-        self.r = r
+        self.n, self.r = X.shape
 
     def __repr__(self) -> str:
         return f"StiefelPoint(n={self.n}, r={self.r})"
@@ -219,10 +215,7 @@ def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = Retractio
 
 def random_point(n: int, r: int, seed: int) -> StiefelPoint:
     """Orthonormalized QR factor of a seeded n x r standard Gaussian matrix."""
-    check_integer("n", n)
-    check_integer("r", r)
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got n={n}, r={r}")
+    check_sizes(n, r)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return StiefelPoint(_qf(rng.standard_normal((n, r))))

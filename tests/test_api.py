@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import stiefelprox
-from stiefelprox import make_cm, make_spca, random_point, solve
+from stiefelprox import StiefelPoint, make_cm, make_spca, random_point, solve
+from stiefelprox.bench import ExperimentSpec
+from stiefelprox.problems import check_problem_args
 
 PACKAGE = Path(stiefelprox.__file__).resolve().parent
 
@@ -109,3 +112,20 @@ def test_solving_leaves_scipy_unimported():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SIZE_CHECKS = {
+    "check_problem_args": lambda n, r: check_problem_args("cm", n, r, 0.1),
+    "random_point": lambda n, r: random_point(n, r, 0),
+    "StiefelPoint": lambda n, r: StiefelPoint(np.zeros((n, r))),
+    "ExperimentSpec": lambda n, r: ExperimentSpec("cm", n_values=(n,), r_values=(r,), mu_values=(0.1,)),
+}
+
+
+@pytest.mark.parametrize("entry", SIZE_CHECKS)
+@pytest.mark.parametrize("n, r", [(8, 9), (8, 0)], ids=["wide", "no-columns"])
+def test_every_entry_point_states_one_size_rule(entry, n, r):
+    # the rule "integers with 1 <= r <= n" is written once, in _checks.py
+    with pytest.raises(ValueError) as info:
+        SIZE_CHECKS[entry](n, r)
+    assert str(info.value) == f"need 1 <= r <= n, got n={n}, r={r}"

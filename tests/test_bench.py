@@ -209,10 +209,19 @@ class TestRunExperiment:
         assert len(files) == 2
         assert files[0].read_text().splitlines()[0] == TRACE_CSV_HEADER
 
-    @pytest.mark.parametrize("value, workers", [("", 8), ("0", 8), ("3", 3), ("64", 8)])
-    def test_pool_size_caps_at_bench_threads(self, monkeypatch, value, workers):
-        # 0 or unset means one worker per CPU; never more workers than tasks
+    @pytest.mark.parametrize(
+        "value, affinity, workers",
+        [("", 16, 8), ("0", 16, 8), ("3", 16, 3), ("64", 16, 8), ("", 2, 2), ("0", None, 8)],
+        ids=["-8", "0-8", "3-3", "64-8", "affinity-2-2", "no-affinity-0-8"],
+    )
+    def test_pool_size_caps_at_bench_threads(self, monkeypatch, value, affinity, workers):
+        # 0 or unset means one worker per CPU this process may run on (all
+        # 16 where the platform cannot say); never more workers than tasks
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 16)
+        if affinity is None:
+            monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         monkeypatch.setenv("BENCH_THREADS", value)
         assert bench._pool_size(8) == workers
 

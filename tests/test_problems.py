@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -239,12 +241,14 @@ class TestMakeProblem:
         with pytest.raises(ValueError, match="mu must be a finite number"):
             make(16, 2, mu)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, True, None])
+    @pytest.mark.parametrize("seed", [1.5, -1, True, None, "x"])
     def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
         # 1.5 used to raise NumPy's TypeError, -1 its bare "expected
-        # non-negative integer", and None drew unseeded data
-        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
-            make_spca(16, 2, 0.1, seed)
+        # non-negative integer", and None drew unseeded data; make_problem
+        # built a "cm" instance whatever the seed and recorded seed None
+        for make in (make_spca, lambda *a: make_problem("cm", *a), lambda *a: make_problem("spca", *a)):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+                make(16, 2, 0.1, seed)
 
     @pytest.mark.parametrize("make", [make_cm, make_spca])
     def test_accepts_numpy_integers_and_floats(self, make):

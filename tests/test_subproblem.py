@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stiefelprox.solver as solver_module
 import stiefelprox.subproblem as subproblem_module
-from stiefelprox import make_cm, make_spca, random_point, solve, ssn_solve
-from stiefelprox.metric import LbfgsMemory, metric_norm_sq
+from stiefelprox import make_cm, random_point, solve, ssn_solve
+from stiefelprox.metric import metric_norm_sq
 from stiefelprox.subproblem import _cg_symmetric, _dual_rise, _fields, _jacobi_diag, _jacobian
+import roundoff_floor
 from oracles import cg_symmetric_reference, dual_value, kkt_direction, splitting_direction, subproblem_value
 from ssn_search import FAR, MAX_ITER, TOL, random_subproblem, stop_histogram
 
@@ -515,34 +515,24 @@ class TestSsnSolve:
         assert res.residual_norm == math.sqrt(np.vdot(E, E))
 
     def test_stops_when_cycling_at_the_roundoff_floor(self, monkeypatch):
-        # the last subproblem of SPCA(40,12,0.5) seed 0 under a 5-pair
-        # memory, asked below its floor of 3.1e-10: the Newton steps then
-        # slide along a direction in which the Jacobian is singular, V(L)
-        # and E stay put, and phi rises by about 2e-14 of its magnitude per
-        # step, below its rounding error bound; without that bound the
-        # slide runs all 200 steps. The fixture keeps 5 pairs because the
-        # stop, not the memory size, is under test
-        monkeypatch.setattr(solver_module, "LbfgsMemory", functools.partial(LbfgsMemory, capacity=5))
-        calls = []
-        original = solver_module.ssn_solve
-
-        def recording(X, G, w, mu, lam0, tol, max_iter):
-            calls.append((X, G, w, mu, lam0))
-            return original(X, G, w, mu, lam0, tol, max_iter)
-
-        monkeypatch.setattr(solver_module, "ssn_solve", recording)
-        solve(make_spca(40, 12, 0.5, 0), random_point(40, 12, 0))
-        # it ends at the fourth step, not at max_iter; history()[-1] is the
-        # last rejected halving of that step
+        # the committed last subproblem of SPCA(40,12,0.5) seed 0 under a
+        # 5-pair memory (tests/roundoff_floor.py), asked below its floor of
+        # 3.1e-10: the Newton steps then slide along a direction in which the
+        # Jacobian is singular, V(L) and E stay put, and phi rises by about
+        # 2e-14 of its magnitude per step, below its rounding error bound;
+        # without that bound the slide runs all 200 steps. The arrays are
+        # stored, not re-solved, so the fixture stays put when the solver's
+        # trajectory moves. It ends at the fourth step, not at max_iter;
+        # history()[-1] is the last rejected halving of that step
         history = record_residuals(monkeypatch)
-        res = ssn_solve(*calls[-1], 1e-11, 200)
+        res = ssn_solve(*roundoff_floor.load("last"), 1e-11, 200)
         assert not res.converged and res.ssn_iters == 4 and res.stop == "no_step"
         assert len(history()) == res.ssn_iters + 1
         assert res.halvings == subproblem_module._MAX_HALVINGS
         assert res.residual_norm == min(history()[:-1]) == 3.062216690437348e-10
         # an earlier subproblem asked for tol 0 stops the same way
         history = record_residuals(monkeypatch)
-        res = ssn_solve(*calls[-8], 0.0, 200)
+        res = ssn_solve(*roundoff_floor.load("earlier"), 0.0, 200)
         assert not res.converged and res.ssn_iters == 4 and res.stop == "no_step"
         assert res.residual_norm == min(history()[:-1]) == 2.644115116513203e-10
 
