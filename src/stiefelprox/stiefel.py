@@ -223,9 +223,7 @@ def random_point(n: int, r: int, seed: int) -> StiefelPoint:
 
 def feasibility_residual(X) -> float:
     """||X^T X - I_r||_F for a StiefelPoint or a raw n x r array."""
-    if isinstance(X, StiefelPoint):
-        return _feasibility(X.data)
-    A = np.asarray(X, dtype=float)
+    A = X.data if isinstance(X, StiefelPoint) else np.asarray(X, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d array, got ndim={A.ndim}")
     return _feasibility(A)

@@ -54,8 +54,8 @@ def project_by_basis(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (B @ (B.T @ v)).reshape(M.shape)
 
 
-def dense_lbfgs_diag(pairs, theta: float, n: int) -> np.ndarray:
-    """diag of the quasi-Newton matrix built densely from theta*I and the pairs.
+def dense_lbfgs_matrix(pairs, theta: float, n: int) -> np.ndarray:
+    """The n x n quasi-Newton matrix built densely from theta*I and the pairs.
 
     Mirrors the matrix-free recursion's skip rule for degenerate curvature.
     """
@@ -66,7 +66,12 @@ def dense_lbfgs_diag(pairs, theta: float, n: int) -> np.ndarray:
         if c <= 1e-12 * float(np.sum(p.s * p.s)):
             continue
         B = B - (Bs @ Bs.T) / c + (p.y_damped @ p.y_damped.T) / p.s_dot_y
-    return np.diag(B).copy()
+    return B
+
+
+def dense_lbfgs_diag(pairs, theta: float, n: int) -> np.ndarray:
+    """diag of dense_lbfgs_matrix(pairs, theta, n)."""
+    return np.diag(dense_lbfgs_matrix(pairs, theta, n)).copy()
 
 
 def subproblem_value(X, G, w, mu, V) -> float:

@@ -22,10 +22,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-try:
-    import stiefelprox  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# the checkout's package, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import stiefelprox.solver as solver_module
 from stiefelprox import StiefelPoint, make_spca, random_point
 

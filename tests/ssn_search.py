@@ -12,16 +12,19 @@ it ends with a residual above 1e-6.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
+# one BLAS thread, as the test suite runs; set before numpy loads its BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
-try:
-    import stiefelprox  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# the checkout's package, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from stiefelprox import random_point, ssn_solve
 
 TOL = 1e-8

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stiefelprox import LbfgsMemory, build_diag, metric_norm_sq
 from stiefelprox.metric import CurvaturePair
-from oracles import dense_lbfgs_diag
+from oracles import dense_lbfgs_diag, dense_lbfgs_matrix
 
 # fixed examples, so the suite draws the same instances on every run
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -179,6 +179,24 @@ class TestBuildDiag:
         mem.theta = 0.5
         mem.pairs.append(hand_pair(np.zeros((4, 1)), np.ones((4, 1)), 1.0))
         np.testing.assert_array_equal(build_diag(mem, 4), np.full(4, 0.5))
+
+    def test_keeps_a_pair_of_small_but_real_curvature(self):
+        # seed 198235's third pair has tr(s^T B s) / tr(s^T s) = 6.1e-8 under
+        # the first two pairs, far above the 1e-12 skip threshold: the pair
+        # counts, so a threshold moved to 1e-6 or 1e-7 shows here as a
+        # diagonal equal to the memory's without that pair
+        rng = np.random.default_rng(198235)
+        mem = LbfgsMemory()
+        for _ in range(3):
+            mem.push(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
+        s = mem.pairs[2].s
+        B = dense_lbfgs_matrix(mem.pairs[:2], mem.theta, 2)
+        assert 1e-12 < float(np.vdot(s, B @ s)) / mem.pairs[2].s_dot_s < 1e-7
+        without = LbfgsMemory()
+        without.theta, without.pairs = mem.theta, mem.pairs[:2]
+        d = build_diag(mem, 2)
+        np.testing.assert_allclose(d, dense_lbfgs_diag(mem.pairs, mem.theta, 2), rtol=1e-9)
+        assert not np.allclose(d, build_diag(without, 2), rtol=0.5)
 
     @PROPERTY_SETTINGS
     @given(
