@@ -72,8 +72,13 @@ class ExperimentSpec:
             raise ValueError(f"unknown config overrides: {sorted(unknown)}")
         # out-of-range values fail here, not once per run inside the sweep
         SolverConfig(**self.overrides)
-        for n, r, mu in itertools.product(self.n_values, self.r_values, self.mu_values):
+        labels = set()  # a cell's label names its summary row and trace files, so none may repeat
+        for n, r, mu, *solver in itertools.product(self.n_values, self.r_values, self.mu_values,
+                                                   self.modes, self.retractions):
             check_problem_args(self.problem, n, r, mu)
+            if (label := run_label(self.problem, n, r, mu, *solver)) in labels:
+                raise ValueError(f"two grid cells share the label {label!r}")
+            labels.add(label)
 
 
 @dataclass(frozen=True)

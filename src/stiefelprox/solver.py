@@ -156,7 +156,6 @@ class LineSearchResult(NamedTuple):
 
 def line_search(
     problem: CompositeProblem,
-    X: StiefelPoint,
     v: TangentVector,
     w: np.ndarray,
     F_ref: float,
@@ -166,14 +165,14 @@ def line_search(
 
         F(R_X(alpha V)) <= F_ref - 1/2 * ls_sigma * alpha * ||V||_w^2
 
-    under the metric weights w. F is evaluated at the retracted point itself,
-    so f_value is F at the returned point. Returns None after LS_TRIALS
-    failed trials (signal to escalate sigma).
+    with X = v.base, under the metric weights w. F is evaluated at the
+    retracted point itself, so f_value is F at the returned point. Returns
+    None after LS_TRIALS failed trials (signal to escalate sigma).
     """
     quad = metric_norm_sq(w, v.data)
     alpha = 1.0
     for backtracks in range(LS_TRIALS):
-        Z = retract(X, v if alpha == 1.0 else alpha * v, config.retraction)
+        Z = retract(v if alpha == 1.0 else alpha * v, config.retraction)
         F_trial = problem.objective(Z.data)
         if F_trial <= F_ref - 0.5 * config.ls_sigma * alpha * quad:
             return LineSearchResult(alpha, Z, backtracks, F_trial, quad)
@@ -331,7 +330,7 @@ def solve(
                         return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
 
             F_ref = nonmonotone_reference(F_hist, window_m)
-            ls = line_search(problem, X, sub.v, w, F_ref, cfg)
+            ls = line_search(problem, sub.v, w, F_ref, cfg)
             if ls is None:
                 rho = -math.inf
             else:

@@ -195,22 +195,17 @@ _RETRACTIONS = {
 }
 
 
-def retract(X: StiefelPoint, xi: TangentVector, kind: RetractionKind = RetractionKind.SVD) -> StiefelPoint:
-    """Map a tangent vector back onto the manifold; retract(X, 0) is X itself.
-
-    xi must be attached to X, or to a point holding the same data, and kind
-    must be a RetractionKind.
-    """
+def retract(xi: TangentVector, kind: RetractionKind = RetractionKind.SVD) -> StiefelPoint:
+    """Map a tangent vector back onto the manifold from its base point; a zero
+    xi returns xi.base itself. kind must be a RetractionKind."""
     try:
         retraction = _RETRACTIONS[kind]
     except (KeyError, TypeError):
         members = ", ".join(RetractionKind.__members__)
         raise ValueError(f"kind must be a RetractionKind ({members}), got {kind!r}") from None
-    if xi.base is not X and not np.array_equal(xi.base.data, X.data):
-        raise ValueError("tangent vector is attached to another base point")
     if not xi.data.any():
-        return X
-    return StiefelPoint(retraction(X.data, xi.data))
+        return xi.base
+    return StiefelPoint(retraction(xi.base.data, xi.data))
 
 
 def random_point(n: int, r: int, seed: int) -> StiefelPoint:

@@ -72,18 +72,28 @@ def result_digest(res) -> str:
 
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    seeds = range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
 
 
-def main() -> None:
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="source directory of the base side")
     parser.add_argument("new", type=Path, help="source directory of the new side")
     parser.add_argument("--instance", choices=sorted(INSTANCES), default="cm128")
     parser.add_argument("--seeds", type=seed_range, default=range(4), help="inclusive range, e.g. 0-3")
-    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--rounds", type=positive_int, default=8, help="timed rounds, at least 1")
     parser.add_argument("--mode", choices=["nls", "arpqn", "pg"], default="nls")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     kind, n, r, mu = INSTANCES[args.instance]
     sides = []

@@ -77,6 +77,27 @@ def test_bench_module_runs_without_a_runtime_warning():
     assert "--problem" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "script, args, code, stderr",
+    [
+        ("paired_timing.py", ["--help"], 0, ""),
+        ("ssn_search.py", ["--help"], 0, ""),
+        ("paired_timing.py", ["src", "src", "--rounds", "0"], 2, "argument --rounds: must be at least 1, got 0"),
+        ("paired_timing.py", ["src", "src", "--seeds", "3-1"], 2, "argument --seeds: empty seed range '3-1'"),
+    ],
+    ids=["paired-help", "ssn-help", "paired-no-rounds", "paired-no-seeds"],
+)
+def test_tool_scripts_parse_their_arguments(script, args, code, stderr):
+    # pytest collects neither script, so a broken import or parser would go
+    # unnoticed; a subprocess keeps their BLAS settings out of this process
+    tool = Path(__file__).resolve().parent / script
+    proc = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert stderr in proc.stderr
+    if code == 0:
+        assert "usage:" in proc.stdout
+
+
 def test_solve_calls_no_numpy_python_wrappers(monkeypatch):
     # on 64 x 4 arrays the Python layer of np.sum and friends cost a measurable
     # share of each outer iteration; the array methods and BLAS dot do the same

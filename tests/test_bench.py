@@ -81,10 +81,15 @@ class TestSpec:
             ({"n_values": (16, 8), "r_values": (12,)}, "1 <= r <= n"),
             ({"n_values": (3,), "r_values": (1,)}, "n >= 4"),
             ({"mu_values": (True,)}, "mu must be a finite number"),
+            # mu agreeing to the 6 digits of {mu:g}, a repeated value
+            ({"mu_values": (0.1, 0.1000001)}, "share the label 'cm_n16_r2_mu0.1_nls_svd'"),
+            ({"n_values": (16, 16)}, "share the label 'cm_n16_r2_mu0.1_nls_svd'"),
+            ({"modes": ("nls", "nls")}, "share the label 'cm_n16_r2_mu0.1_nls_svd'"),
         ],
     )
     def test_invalid_grid_point_rejected(self, grid, match):
-        # each of these used to construct, and then every run failed in the pool
+        # each of these used to construct, and then every run failed in the
+        # pool, or two cells wrote rows of one label to the same trace files
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(**{**TINY, **grid})
 
@@ -374,6 +379,18 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--base-seed", "-1", "--out", str(out)])
         assert exc.value.code == "bench: base_seed must be an integer >= 0, got -1"
+        assert not out.exists()
+
+    def test_shared_label_exits_before_any_run(self, tmp_path, monkeypatch):
+        def never(problem, X0, config):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(bench, "solve", never)
+        out = tmp_path / "x.csv"
+        args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "0.1000001", "--seeds", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == "bench: two grid cells share the label 'cm_n16_r2_mu0.1_nls_svd'"
         assert not out.exists()
 
     def test_config_flags_come_from_solver_config(self, capsys):

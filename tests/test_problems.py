@@ -288,6 +288,6 @@ def test_objective_invariant_under_zero_retraction():
         (RetractionKind.QR, make_spca(16, 2, 0.7, seed=1)),
     ]:
         X = random_point(16, 2, 2)
-        Z = retract(X, TangentVector(np.zeros((16, 2)), X), kind)
+        Z = retract(TangentVector(np.zeros((16, 2)), X), kind)
         assert prob.eval_f(Z.data) == prob.eval_f(X.data)
 

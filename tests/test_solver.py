@@ -166,7 +166,7 @@ class TestLineSearch:
         v = TangentVector(-1e-3 * g.data, X)
         w = np.ones(16)
         F_ref = prob.objective(X.data)
-        out = line_search(prob, X, v, w, F_ref, SolverConfig())
+        out = line_search(prob, v, w, F_ref, SolverConfig())
         assert out is not None
         assert out.alpha == 1.0 and out.backtracks == 0
 
@@ -177,7 +177,7 @@ class TestLineSearch:
         v = project_tangent(X, 5.0 * rng.standard_normal((16, 2)))
         w = np.ones(16)
         cfg = SolverConfig()
-        out = line_search(prob, X, v, w, prob.objective(X.data), cfg)
+        out = line_search(prob, v, w, prob.objective(X.data), cfg)
         assert out is not None
         assert out.alpha == pytest.approx(cfg.ls_gamma ** out.backtracks)
         assert feasibility_residual(out.point) <= 1e-10
@@ -193,8 +193,8 @@ class TestLineSearch:
             rng = np.random.default_rng(seed + 10)
             v = project_tangent(X, 3.0 * rng.standard_normal((16, 2)))
             F_mono = prob.objective(X.data)
-            lo = line_search(prob, X, v, w, F_mono, cfg)
-            hi = line_search(prob, X, v, w, F_mono + 0.5, cfg)
+            lo = line_search(prob, v, w, F_mono, cfg)
+            hi = line_search(prob, v, w, F_mono + 0.5, cfg)
             assert hi.backtracks <= lo.backtracks
 
     @PROPERTY_SETTINGS
@@ -219,7 +219,7 @@ class TestLineSearch:
         # F is continuous along the retraction, so a slack above F(X) is met
         # once alpha is small enough
         F_ref = prob.objective(X.data) + slack
-        out = line_search(prob, X, v, w, F_ref, SolverConfig(retraction=kind))
+        out = line_search(prob, v, w, F_ref, SolverConfig(retraction=kind))
         assert out is not None
         assert isinstance(out.point, StiefelPoint)
         assert prob.objective(out.point.data) == out.f_value
@@ -243,7 +243,7 @@ class TestLineSearch:
         )
         v = project_tangent(X, np.random.default_rng(4).standard_normal((6, 1)))
         w = np.ones(6)
-        out = line_search(prob, X, v, w, 0.0, SolverConfig())
+        out = line_search(prob, v, w, 0.0, SolverConfig())
         assert out is None
 
 

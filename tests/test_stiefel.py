@@ -118,8 +118,8 @@ def test_gradient_matches_finite_difference():
     t = 1e-6
     for seed in range(4):
         xi = rand_tangent(X, seed + 30)
-        plus = retract(X, TangentVector(t * xi.data, X))
-        minus = retract(X, TangentVector(-t * xi.data, X))
+        plus = retract(TangentVector(t * xi.data, X))
+        minus = retract(TangentVector(-t * xi.data, X))
         fd = (f(plus.data) - f(minus.data)) / (2 * t)
         assert abs(np.sum(g.data * xi.data) - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -127,15 +127,15 @@ def test_gradient_matches_finite_difference():
 @pytest.mark.parametrize("kind", list(RetractionKind))
 def test_retract_zero_is_identity(kind):
     X = random_point(7, 3, 12)
-    Z = retract(X, TangentVector(np.zeros((7, 3)), X), kind)
-    np.testing.assert_allclose(Z.data, X.data, atol=1e-14)
+    xi = TangentVector(np.zeros((7, 3)), X)
+    assert retract(xi, kind) is xi.base
 
 
 def test_polar_hand_case():
     # X = e1 in R^2, xi = e2: polar factor of (1, 1)^T is (1, 1)^T / sqrt(2)
     X = StiefelPoint(np.array([[1.0], [0.0]]))
     xi = TangentVector(np.array([[0.0], [1.0]]), X)
-    Z = retract(X, xi, RetractionKind.SVD)
+    Z = retract(xi, RetractionKind.SVD)
     np.testing.assert_allclose(Z.data, np.array([[1.0], [1.0]]) / np.sqrt(2.0), atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_svd_retraction_matches_svd_oracle():
         X = random_point(8, 3, seed)
         xi = rand_tangent(X, seed + 90)
         U, _, Vt = np.linalg.svd(X.data + xi.data, full_matrices=False)
-        Z = retract(X, xi, RetractionKind.SVD)
+        Z = retract(xi, RetractionKind.SVD)
         assert np.linalg.norm(Z.data - U @ Vt) <= 1e-12
 
 
@@ -156,7 +156,7 @@ def test_cayley_matches_dense_formula():
         P = (np.eye(8) - 0.5 * Xa @ Xa.T) @ D
         W = P @ Xa.T - Xa @ P.T
         dense = np.linalg.solve(np.eye(8) - 0.5 * W, (np.eye(8) + 0.5 * W) @ Xa)
-        Z = retract(X, xi, RetractionKind.CAYLEY)
+        Z = retract(xi, RetractionKind.CAYLEY)
         assert np.linalg.norm(Z.data - dense) <= 1e-11
 
 
@@ -167,7 +167,7 @@ def test_qr_sign_convention():
     A = X.data + xi.data
     Q, R = np.linalg.qr(A)
     signs = np.sign(np.diag(R))
-    Z = retract(X, xi, RetractionKind.QR)
+    Z = retract(xi, RetractionKind.QR)
     np.testing.assert_allclose(Z.data, Q * signs, atol=1e-12)
     np.testing.assert_array_equal(np.sign(np.diag(Z.data.T @ A)), 1.0)
 
@@ -179,7 +179,7 @@ def test_retraction_first_order_agreement(kind):
     xi = TangentVector(xi.data / np.linalg.norm(xi.data), X)
     ratios = []
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
-        Z = retract(X, TangentVector(t * xi.data, X), kind)
+        Z = retract(TangentVector(t * xi.data, X), kind)
         ratios.append(np.linalg.norm(Z.data - X.data - t * xi.data) / t**2)
     # second-order residual: constant C = ||R(t xi) - X - t xi|| / t^2 stays stable
     assert max(ratios) <= 4.0 * min(ratios) + 1e-9
@@ -192,7 +192,7 @@ def test_retraction_feasible_for_large_steps(kind):
     xi = rand_tangent(X, 43)
     for scale in (0.1, 1.0, 10.0):
         big = TangentVector(scale * xi.data / np.linalg.norm(xi.data), X)
-        Z = retract(X, big, kind)
+        Z = retract(big, kind)
         assert feasibility_residual(Z) <= 1e-10
 
 
@@ -349,22 +349,11 @@ def test_tangent_vector_rejects_non_finite_entries(bad):
         TangentVector(V, X)
 
 
-def test_retract_rejects_a_vector_tangent_elsewhere():
-    X, Y = random_point(6, 2, 0), random_point(6, 2, 1)
-    xi = rand_tangent(X, 2)
-    for kind in RetractionKind:
-        with pytest.raises(ValueError, match="base point"):
-            retract(Y, xi, kind)
-    # an equal point built separately is the same base
-    same = StiefelPoint(X.data)
-    np.testing.assert_array_equal(retract(same, xi).data, retract(X, xi).data)
-
-
 @pytest.mark.parametrize("kind", ["svd", None, 3])
 def test_retract_rejects_a_kind_that_is_not_a_retraction_kind(kind):
     X = random_point(6, 2, 0)
     with pytest.raises(ValueError, match="SVD, QR, CAYLEY"):
-        retract(X, rand_tangent(X, 1), kind)
+        retract(rand_tangent(X, 1), kind)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
