@@ -21,13 +21,21 @@ SPCA_SAMPLES = 50
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """Evaluation bundle for min f(X) + mu ||X||_1 over St(n, r)."""
+    """Evaluation bundle for min f(X) + mu ||X||_1 over St(n, r), shape = (n, r). Building one, by
+    dataclasses.replace too, needs 1 <= r <= n and finite mu, lipschitz_estimate >= 0 (else ValueError)."""
 
     eval_f: Callable[[np.ndarray], float]
     eval_grad_f: Callable[[np.ndarray], np.ndarray]
     mu: float
     lipschitz_estimate: float
-    descriptor: dict
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.shape, tuple) or len(self.shape) != 2:
+            raise ValueError(f"shape must be a tuple (n, r), got {self.shape!r}")
+        check_sizes(*self.shape)
+        check_real("mu", self.mu, 0)
+        check_real("lipschitz_estimate", self.lipschitz_estimate, 0)
 
     def objective(self, X: np.ndarray) -> float:
         return float(self.eval_f(X)) + self.mu * float(np.abs(X).sum())
@@ -80,8 +88,7 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return 2.0 * apply_h(X)
 
-    desc = {"kind": "cm", "n": n, "r": r, "mu": mu, "seed": None}
-    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, desc)
+    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, (n, r))
 
 
 def make_spca(
@@ -123,8 +130,7 @@ def make_spca(
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return -2.0 * (A.T @ (A @ X))
 
-    desc = {"kind": "spca", "n": n, "r": r, "mu": mu, "seed": seed}
-    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, desc)
+    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, (n, r))
 
 
 def make_problem(kind: str, n: int, r: int, mu: float, seed: int = 0) -> CompositeProblem:

@@ -133,11 +133,14 @@ class SolveResult:
 
 
 def nonmonotone_reference(history: Sequence[float], m: int) -> float:
-    """Max of the last min(m+1, len(history)) accepted objective values; m is an integer >= 0."""
+    """Max of the last min(m+1, len(history)) accepted objective values; m is an integer >= 0
+    and the window's values are finite."""
     check_integer("m", m, 0)
     if len(history) == 0:
         raise ValueError("history must be nonempty")
     window = list(history)[-(m + 1):]
+    if not all(map(math.isfinite, window)):
+        raise ValueError(f"history window must be finite, got {window}")
     return max(window)
 
 
@@ -169,6 +172,8 @@ def line_search(
     retracted point itself, so f_value is F at the returned point. Returns
     None after LS_TRIALS failed trials (signal to escalate sigma).
     """
+    if not isinstance(v, TangentVector):
+        raise ValueError(f"v must be a TangentVector, got {type(v).__name__}")
     quad = metric_norm_sq(w, v.data)
     alpha = 1.0
     for backtracks in range(LS_TRIALS):
@@ -256,20 +261,20 @@ def solve(
     multiplier at L_{k-1} + (L_{k-1} - L_{k-2}), the linear extrapolation of
     the last two accepted multipliers (iteration 0 at zero, iteration 1 at
     L_0); a re-solve after a rejection starts from the previous pass's
-    multiplier. X0 must have the problem's shape, and the problem's mu and
-    lipschitz_estimate must be finite real numbers >= 0 (bool rejected), the
-    estimate with a finite square. Outside the proximal-gradient mode, sigma0
-    must be at most L/eps (eps the machine epsilon): above it G/w falls below
-    the rounding of X and the run cannot move.
+    multiplier. X0 must have the problem's shape and the problem's
+    lipschitz_estimate a finite square. Outside the proximal-gradient mode,
+    sigma0 must be at most L/eps (eps the machine epsilon): above it G/w falls
+    below the rounding of X and the run cannot move.
     """
+    if not isinstance(problem, CompositeProblem):
+        raise ValueError(f"problem must be a CompositeProblem, got {type(problem).__name__}")
+    if not (config is None or isinstance(config, SolverConfig)):
+        raise ValueError(f"config must be a SolverConfig instance or None, got {type(config).__name__}")
     cfg = config if config is not None else SolverConfig()
     X = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
     n, r = X.n, X.r
-    expected = (problem.descriptor.get("n", n), problem.descriptor.get("r", r))
-    if (n, r) != expected:
-        raise ValueError(f"X0 has shape {(n, r)}, the problem needs {expected}")
-    check_real("problem.lipschitz_estimate", problem.lipschitz_estimate, 0)
-    check_real("problem.mu", problem.mu, 0)
+    if (n, r) != problem.shape:
+        raise ValueError(f"X0 has shape {(n, r)}, the problem needs {problem.shape}")
     mu = problem.mu
     pg_mode = cfg.mode is Mode.PROX_GRAD
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m

@@ -141,6 +141,8 @@ def _tangent(V: np.ndarray, base: StiefelPoint) -> TangentVector:
 
 def project_tangent(X: StiefelPoint, M: np.ndarray) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at X."""
+    if not isinstance(X, StiefelPoint):
+        raise ValueError(f"X must be a StiefelPoint, got {type(X).__name__}")
     M = np.asarray(M, dtype=float)
     if M.shape != X.data.shape:
         raise ValueError(f"shape mismatch: {M.shape} vs {X.data.shape}")
@@ -198,6 +200,8 @@ _RETRACTIONS = {
 def retract(xi: TangentVector, kind: RetractionKind = RetractionKind.SVD) -> StiefelPoint:
     """Map a tangent vector back onto the manifold from its base point; a zero
     xi returns xi.base itself. kind must be a RetractionKind."""
+    if not isinstance(xi, TangentVector):
+        raise ValueError(f"xi must be a TangentVector, got {type(xi).__name__}")
     try:
         retraction = _RETRACTIONS[kind]
     except (KeyError, TypeError):

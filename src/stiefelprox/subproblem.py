@@ -209,6 +209,8 @@ def ssn_solve(
     lam0 or w, a non-finite grad_f or lam0, or a starting residual that
     overflows, raises ValueError.
     """
+    if not isinstance(X, StiefelPoint):
+        raise ValueError(f"X must be a StiefelPoint, got {type(X).__name__}")
     check_integer("max_iter", max_iter, 1)
     check_real("mu", mu, 0)
     # negated comparisons, so that a nan tol or weight fails them too

@@ -54,9 +54,16 @@ def stop_histogram(seeds) -> tuple[Counter, Counter]:
     return stops, far
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=300, help="solve seeds 0 .. SEEDS-1")
+    parser.add_argument("--seeds", type=positive_int, default=300, help="solve seeds 0 .. SEEDS-1, at least 1")
     args = parser.parse_args()
     stops, far = stop_histogram(range(args.seeds))
     print(f"{args.seeds} subproblems, tol {TOL:g}, max_iter {MAX_ITER}")

@@ -10,7 +10,19 @@ import numpy as np
 import pytest
 
 import stiefelprox
-from stiefelprox import StiefelPoint, make_cm, make_spca, random_point, solve
+from stiefelprox import (
+    CompositeProblem,
+    SolverConfig,
+    StiefelPoint,
+    line_search,
+    make_cm,
+    make_spca,
+    project_tangent,
+    random_point,
+    retract,
+    solve,
+    ssn_solve,
+)
 from stiefelprox.bench import ExperimentSpec
 from stiefelprox.problems import check_problem_args
 
@@ -84,8 +96,10 @@ def test_bench_module_runs_without_a_runtime_warning():
         ("ssn_search.py", ["--help"], 0, ""),
         ("paired_timing.py", ["src", "src", "--rounds", "0"], 2, "argument --rounds: must be at least 1, got 0"),
         ("paired_timing.py", ["src", "src", "--seeds", "3-1"], 2, "argument --seeds: empty seed range '3-1'"),
+        ("ssn_search.py", ["--seeds", "0"], 2, "argument --seeds: must be at least 1, got 0"),
+        ("ssn_search.py", ["--seeds", "-3"], 2, "argument --seeds: must be at least 1, got -3"),
     ],
-    ids=["paired-help", "ssn-help", "paired-no-rounds", "paired-no-seeds"],
+    ids=["paired-help", "ssn-help", "paired-no-rounds", "paired-no-seeds", "ssn-no-seeds", "ssn-negative-seeds"],
 )
 def test_tool_scripts_parse_their_arguments(script, args, code, stderr):
     # pytest collects neither script, so a broken import or parser would go
@@ -135,11 +149,40 @@ def test_solving_leaves_scipy_unimported():
     assert proc.stdout.strip() == "[]"
 
 
+X16 = random_point(16, 2, 0)
+RAW_ARGUMENTS = {
+    "retract-array": (lambda: retract(X16.data), "xi must be a TangentVector, got ndarray"),
+    "retract-point": (lambda: retract(X16), "xi must be a TangentVector, got StiefelPoint"),
+    "line_search-array": (
+        lambda: line_search(make_cm(16, 2, 0.1), X16.data, np.ones(16), 0.0, SolverConfig()),
+        "v must be a TangentVector, got ndarray",
+    ),
+    "ssn_solve-array": (
+        lambda: ssn_solve(X16.data, np.zeros((16, 2)), np.ones(16), 0.1),
+        "X must be a StiefelPoint, got ndarray",
+    ),
+    "project_tangent-array": (
+        lambda: project_tangent(X16.data, np.zeros((16, 2))),
+        "X must be a StiefelPoint, got ndarray",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RAW_ARGUMENTS)
+def test_manifold_entry_points_reject_raw_arguments(case):
+    # each used to fail deep inside, on a missing attribute of the array's
+    # memoryview or of the point, or on a memoryview product
+    call, message = RAW_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 SIZE_CHECKS = {
     "check_problem_args": lambda n, r: check_problem_args("cm", n, r, 0.1),
     "random_point": lambda n, r: random_point(n, r, 0),
     "StiefelPoint": lambda n, r: StiefelPoint(np.zeros((n, r))),
     "ExperimentSpec": lambda n, r: ExperimentSpec("cm", n_values=(n,), r_values=(r,), mu_values=(0.1,)),
+    "CompositeProblem": lambda n, r: CompositeProblem(lambda X: 0.0, np.zeros_like, 0.1, 1.0, (n, r)),
 }
 
 

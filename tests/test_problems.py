@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from stiefelprox import (
+    CompositeProblem,
     RetractionKind,
     TangentVector,
     make_cm,
@@ -120,10 +122,9 @@ class TestCompressedModes:
         with pytest.raises(ValueError, match="1 <= r <= n"):
             make_cm(n, r, 0.1)
 
-    def test_descriptor(self):
+    def test_shape(self):
         prob = make_cm(16, 2, 0.3)
-        assert prob.descriptor["kind"] == "cm"
-        assert prob.descriptor["n"] == 16 and prob.descriptor["mu"] == 0.3
+        assert prob.shape == (16, 2) and prob.mu == 0.3
 
 
 class TestSparsePca:
@@ -257,12 +258,50 @@ class TestMakeProblem:
         assert prob.objective(X) == make(16, 2, 0.1).objective(X)
 
     def test_dispatch(self):
-        assert make_problem("cm", 16, 2, 0.1).descriptor["kind"] == "cm"
-        assert make_problem("spca", 16, 2, 0.1, seed=3).descriptor["seed"] == 3
+        X = random_point(16, 2, 0).data
+        cm, spca = make_problem("cm", 16, 2, 0.1), make_problem("spca", 16, 2, 0.1, seed=3)
+        assert cm.shape == spca.shape == (16, 2)
+        assert cm.objective(X) == make_cm(16, 2, 0.1).objective(X)
+        assert spca.objective(X) == make_spca(16, 2, 0.1, 3).objective(X) != make_spca(16, 2, 0.1, 0).objective(X)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_problem("lasso", 16, 2, 0.1)
+
+
+class TestCompositeProblem:
+    @staticmethod
+    def build(**changes):
+        fields = dict(eval_f=lambda X: 0.0, eval_grad_f=np.zeros_like, mu=0.1, lipschitz_estimate=1.0, shape=(16, 2))
+        return CompositeProblem(**{**fields, **changes})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lipschitz_estimate", math.nan),
+            ("lipschitz_estimate", math.inf),
+            ("lipschitz_estimate", -5.0),
+            ("lipschitz_estimate", True),
+            ("mu", math.nan),
+            ("mu", -0.1),
+            ("mu", True),
+        ],
+    )
+    def test_rejects_constants_that_are_not_finite_nonnegative(self, field, value):
+        # built directly; tests/test_solver.py builds the same cases through
+        # dataclasses.replace, which runs the same check
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
+            self.build(**{field: value})
+
+    @pytest.mark.parametrize(
+        "shape", [[16, 2], (16,), (16, 2, 1), 16, None], ids=["list", "one-size", "three-sizes", "int", "None"]
+    )
+    def test_rejects_shape_that_is_not_a_pair(self, shape):
+        # without the tuple test a list passes the size rule and then fails
+        # every solve's shape comparison, and the others raise TypeError from
+        # check_sizes(*shape)
+        with pytest.raises(ValueError, match=re.escape(f"shape must be a tuple (n, r), got {shape!r}")):
+            self.build(shape=shape)
 
 
 class TestSparsity:

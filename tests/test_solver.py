@@ -142,20 +142,23 @@ class TestNonmonotoneReference:
     def test_numpy_integer_window_accepted(self):
         assert nonmonotone_reference([3.0, 1.0, 2.0], np.int64(2)) == 3.0
 
+    @pytest.mark.parametrize(
+        "history",
+        [[1.0, math.nan], [math.nan, 1.0], [2.0, math.inf], [-math.inf, 2.0]],
+        ids=["nan-last", "nan-first", "inf-last", "minus-inf-first"],
+    )
+    def test_non_finite_value_in_the_window_rejected(self, history):
+        # max() returned 1.0 on [1, nan] but nan on [nan, 1]
+        with pytest.raises(ValueError, match="history window must be finite"):
+            nonmonotone_reference(history, 1)
+
+    def test_non_finite_value_before_the_window_ignored(self):
+        assert nonmonotone_reference([math.nan, 1.0, 2.0], 1) == 2.0
+
     def test_window_fits_in_the_solvers_objective_history(self):
         # solve keeps FLATNESS_WINDOW + 1 accepted values and feeds the
         # nonmonotone reference from them, so its window must fit
         assert SolverConfig.window_m < FLATNESS_WINDOW
-
-
-def _constant_problem(n, value=1.0):
-    return CompositeProblem(
-        eval_f=lambda X: value,
-        eval_grad_f=lambda X: np.zeros_like(X),
-        mu=0.0,
-        lipschitz_estimate=1.0,
-        descriptor={"kind": "const", "n": n, "r": 1, "mu": 0.0, "seed": None},
-    )
 
 
 class TestLineSearch:
@@ -239,7 +242,7 @@ class TestLineSearch:
             eval_grad_f=lambda A: np.zeros_like(A),
             mu=0.0,
             lipschitz_estimate=1.0,
-            descriptor={"kind": "jump", "n": 6, "r": 1, "mu": 0.0, "seed": None},
+            shape=(6, 1),
         )
         v = project_tangent(X, np.random.default_rng(4).standard_normal((6, 1)))
         w = np.ones(6)
@@ -515,7 +518,7 @@ class TestSolve:
             eval_grad_f=lambda X: -np.asarray(base.eval_grad_f(X)),
             mu=base.mu,
             lipschitz_estimate=base.lipschitz_estimate,
-            descriptor=base.descriptor,
+            shape=base.shape,
         )
         res = solve(broken, random_point(16, 2, 0), SolverConfig(max_outer=50))
         assert res.status in (Status.STALLED, Status.MAX_ITER)
@@ -580,10 +583,27 @@ class TestSolve:
     def test_rejects_problem_constants_that_are_not_finite_nonnegative(self, field, value):
         # unchecked, a nan estimate makes nls run out its budget at the optimum
         # and pg fail inside ssn_solve, inf makes pg stall, and -5 is floored
-        # to 1e-3 without a word
-        broken = dataclasses.replace(make_cm(16, 2, 0.1), **{field: value})
-        with pytest.raises(ValueError, match=f"problem.{field} must be a finite number >= 0"):
-            solve(broken, random_point(16, 2, 0), SolverConfig(max_outer=5))
+        # to 1e-3 without a word; the problem itself refuses them when built,
+        # so no solve can see one (direct builds: tests/test_problems.py)
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
+            dataclasses.replace(make_cm(16, 2, 0.1), **{field: value})
+
+    @pytest.mark.parametrize(
+        "problem, config, message",
+        [
+            ("cm", None, "problem must be a CompositeProblem, got str"),
+            (None, "nls", "config must be a SolverConfig instance or None, got str"),
+            (None, {"sigma0": 2.0}, "config must be a SolverConfig instance or None, got dict"),
+            (None, SolverConfig, "config must be a SolverConfig instance or None, got type"),
+        ],
+        ids=["problem-str", "config-str", "config-dict", "config-class"],
+    )
+    def test_rejects_arguments_of_the_wrong_type(self, problem, config, message):
+        # the strings and the dict failed on a missing attribute, and the
+        # class itself ran to CONVERGED on its defaults
+        problem = make_cm(16, 2, 0.1) if problem is None else problem
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(problem, random_point(16, 2, 0), config)
 
     def test_retraction_choice_is_used(self):
         prob = make_cm(32, 2, 0.1)
