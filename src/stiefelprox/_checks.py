@@ -15,8 +15,10 @@ def check_integer(name: str, value, low: int | None = None) -> None:
 
 def check_real(name: str, value, low: float, *, strict: bool = False) -> None:
     """Raise ValueError unless value is a real >= low (> low if strict) and at most the largest float."""
-    if not ((type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool))
-            and (value > low if strict else value >= low) and value <= sys.float_info.max):
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a float32 would round the bound to inf, so other reals compare as floats; integers compare exactly
+    x = value if type(value) is float or not real or isinstance(value, numbers.Integral) else float(value)
+    if not (real and (x > low if strict else x >= low) and x <= sys.float_info.max):
         raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
 
 

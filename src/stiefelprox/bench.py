@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._checks import check_integer
-from .problems import check_problem_args, make_problem, sparsity
+from .problems import make_problem, sparsity
 from .solver import Mode, SolverConfig, Status, solve, write_trace_csv
 from .stiefel import RetractionKind, random_point
 
@@ -73,12 +73,12 @@ class ExperimentSpec:
         # out-of-range values fail here, not once per run inside the sweep
         SolverConfig(**self.overrides)
         labels = set()  # a cell's label names its summary row and trace files, so none may repeat
-        for n, r, mu, *solver in itertools.product(self.n_values, self.r_values, self.mu_values,
-                                                   self.modes, self.retractions):
-            check_problem_args(self.problem, n, r, mu)
-            if (label := run_label(self.problem, n, r, mu, *solver)) in labels:
-                raise ValueError(f"two grid cells share the label {label!r}")
-            labels.add(label)
+        for n, r, mu in itertools.product(self.n_values, self.r_values, self.mu_values):
+            make_problem(self.problem, n, r, mu, self.base_seed)  # a grid point is valid if it builds
+            for solver in itertools.product(self.modes, self.retractions):
+                if (label := run_label(self.problem, n, r, mu, *solver)) in labels:
+                    raise ValueError(f"two grid cells share the label {label!r}")
+                labels.add(label)
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,10 @@ def run_experiment(spec: ExperimentSpec) -> list[SummaryRow]:
     labels = [run_label(spec.problem, *cell) for cell in cells]
     trace_dir = Path(spec.trace_dir) if spec.trace_dir else None
     if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # say, an existing file of that name
+            raise ValueError(f"trace_dir {spec.trace_dir!r} is not a usable directory: {exc.strerror}") from None
 
     tasks = []
     for label, (n, r, mu, mode, retraction) in zip(labels, cells):
@@ -207,6 +210,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # the summary is written after the sweep, so a path it cannot take fails before it
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+            raise ValueError(f"--out {args.out!r} must name a file in a writable directory")
         spec = ExperimentSpec(
             problem=args.problem,
             n_values=tuple(args.n),

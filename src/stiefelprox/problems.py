@@ -22,7 +22,8 @@ SPCA_SAMPLES = 50
 @dataclass(frozen=True)
 class CompositeProblem:
     """Evaluation bundle for min f(X) + mu ||X||_1 over St(n, r), shape = (n, r). Building one, by
-    dataclasses.replace too, needs 1 <= r <= n and finite mu, lipschitz_estimate >= 0 (else ValueError)."""
+    dataclasses.replace too, needs 1 <= r <= n and finite mu, lipschitz_estimate >= 0 (else ValueError),
+    and stores mu and lipschitz_estimate as Python floats, so F is evaluated in float64."""
 
     eval_f: Callable[[np.ndarray], float]
     eval_grad_f: Callable[[np.ndarray], np.ndarray]
@@ -34,20 +35,12 @@ class CompositeProblem:
         if not isinstance(self.shape, tuple) or len(self.shape) != 2:
             raise ValueError(f"shape must be a tuple (n, r), got {self.shape!r}")
         check_sizes(*self.shape)
-        check_real("mu", self.mu, 0)
-        check_real("lipschitz_estimate", self.lipschitz_estimate, 0)
+        for name in ("mu", "lipschitz_estimate"):
+            check_real(name, getattr(self, name), 0)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def objective(self, X: np.ndarray) -> float:
         return float(self.eval_f(X)) + self.mu * float(np.abs(X).sum())
-
-
-def check_problem_args(kind: str, n: int, r: int, mu: float) -> None:
-    """Raise ValueError unless make_problem can build this "cm" or "spca" instance:
-    integer sizes with 1 <= r <= n, n >= 4 grid points for "cm" and a finite mu >= 0."""
-    check_sizes(n, r)
-    if kind == "cm" and n < 4:
-        raise ValueError(f"need n >= 4 grid points, got {n}")
-    check_real("mu", mu, 0)
 
 
 def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
@@ -60,7 +53,9 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     that sums each row in increasing column order, which rounds exactly like
     the product with H stored as a sparse CSR matrix.
     """
-    check_problem_args("cm", n, r, mu)
+    check_sizes(n, r)
+    if n < 4:
+        raise ValueError(f"need n >= 4 grid points, got {n}")
     dx = 50.0 / n
     inv = 1.0 / (dx * dx)
     off = -0.5 * inv
@@ -88,7 +83,7 @@ def make_cm(n: int, r: int, mu: float) -> CompositeProblem:
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return 2.0 * apply_h(X)
 
-    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, (n, r))
+    return CompositeProblem(eval_f, eval_grad_f, mu, L, (n, r))
 
 
 def make_spca(
@@ -106,7 +101,7 @@ def make_spca(
     generated matrix verbatim (e.g. zeros for the flat objective edge case);
     it must be a finite 2-d array with n columns.
     """
-    check_problem_args("spca", n, r, mu)
+    check_sizes(n, r)
     check_integer("seed", seed, 0)
     if data is not None:
         A = np.array(data, dtype=float)
@@ -130,7 +125,7 @@ def make_spca(
     def eval_grad_f(X: np.ndarray) -> np.ndarray:
         return -2.0 * (A.T @ (A @ X))
 
-    return CompositeProblem(eval_f, eval_grad_f, float(mu), L, (n, r))
+    return CompositeProblem(eval_f, eval_grad_f, mu, L, (n, r))
 
 
 def make_problem(kind: str, n: int, r: int, mu: float, seed: int = 0) -> CompositeProblem:

@@ -280,7 +280,7 @@ def solve(
     window_m = 0 if cfg.mode is not Mode.NONMONOTONE else cfg.window_m
     stop_tol = cfg.tol_factor * n * r
     # the gradient's Lipschitz constant, floored so a flat objective has a scale
-    L = max(float(problem.lipschitz_estimate), 1e-3)
+    L = max(problem.lipschitz_estimate, 1e-3)
     try:
         grad_stop_tol = L ** 2 * stop_tol
     except OverflowError:
@@ -315,7 +315,12 @@ def solve(
         norm_v_prev = trace[-1].normV if trace else 0.0
         ssn_tol = max(1e-8 * max(1.0, math.sqrt(np.vdot(G, G))), FORCING * norm_v_prev)
 
-        passes = []  # (subproblem, line search, rho, ||V||^2) of every pass, the accepted one last
+        # the nonmonotone reference and the model at V = 0 are the same for every pass
+        F_ref = nonmonotone_reference(F_hist, window_m)
+        phi_zero = mu * float(np.abs(X.data).sum())
+        # totals over the passes; a failed line search ran all LS_TRIALS
+        resolves = backtracks = ls_trials = ssn_iters = cg_iters = halvings = unconverged = 0
+        rejected_rhos = []
         lam_warm = lam_last + (lam_last - lam_prev) if k >= 2 else lam_last
         while True:
             w, pass_sigma = d + sigma, sigma  # update_sigma moves sigma on below
@@ -323,7 +328,13 @@ def solve(
             lam_warm = sub.lam
             V = sub.v.data
             norm_v_sq = float(np.vdot(V, V))
-            if not passes:
+            resolves += 1
+            ssn_iters += sub.ssn_iters
+            cg_iters += sub.cg_iters
+            halvings += sub.halvings
+            unconverged += not sub.converged
+            if resolves == 1:
+                first_norm_v_sq = norm_v_sq
                 stationary_streak = stationary_streak + 1 if norm_v_sq <= stop_tol else 0
                 flat = F_hist[0] - F_cur <= FLATNESS_RTOL * max(1.0, abs(F_cur))
                 # a direction 1000x below the tolerance needs no confirmation;
@@ -334,47 +345,40 @@ def solve(
                     if float(np.vdot(wV, wV)) <= grad_stop_tol:
                         return SolveResult(X, trace, Status.CONVERGED, norm_v_sq)
 
-            F_ref = nonmonotone_reference(F_hist, window_m)
             ls = line_search(problem, sub.v, w, F_ref, cfg)
             if ls is None:
                 rho = -math.inf
+                backtracks += LS_TRIALS
+                ls_trials += LS_TRIALS
             else:
-                alpha, Z, _, F_trial, quad = ls
-                phi_zero = mu * float(np.abs(X.data).sum())
+                alpha, Z, pass_backtracks, F_trial, quad = ls
+                backtracks += pass_backtracks
+                ls_trials += pass_backtracks + 1
                 phi_step = (
                     alpha * float(np.vdot(G, V))
                     + 0.5 * alpha * alpha * quad
                     + mu * float(np.abs(X.data + (V if alpha == 1.0 else alpha * V)).sum())
                 )
                 rho = compute_rho(F_trial, F_ref, phi_step, phi_zero)
-            passes.append((sub, ls, rho, norm_v_sq))
             accepted = ls is not None
             if not pg_mode:
                 sigma, accepted = update_sigma(sigma, rho, cfg)
             if accepted:
                 break
-            if pg_mode or len(passes) >= cfg.max_inner_sigma:
-                return SolveResult(X, trace, Status.STALLED, passes[0][3])
+            rejected_rhos.append(rho)
+            if pg_mode or resolves >= cfg.max_inner_sigma:
+                return SolveResult(X, trace, Status.STALLED, first_norm_v_sq)
 
         lam_prev, lam_last = lam_last, lam_warm
         G_new = np.asarray(problem.eval_grad_f(Z.data), dtype=float)
         if not (math.isfinite(F_trial) and np.isfinite(G_new).all()):
-            return SolveResult(X, trace, Status.NONFINITE, passes[0][3])
+            return SolveResult(X, trace, Status.NONFINITE, first_norm_v_sq)
         if not pg_mode:
             # the projected gradient at Z is the next iteration's one at X
             proj_G_new = project_tangent(Z, G_new).data
             memory.push(Z.data - X.data, proj_G_new - proj_G)
             proj_G = proj_G_new
             d = build_diag(memory, n)
-        # totals over the passes in one loop; a failed line search ran all LS_TRIALS
-        backtracks = ls_trials = ssn_iters = cg_iters = halvings = unconverged = 0
-        for p, s, _, _ in passes:
-            ssn_iters += p.ssn_iters
-            cg_iters += p.cg_iters
-            halvings += p.halvings
-            unconverged += not p.converged
-            backtracks += LS_TRIALS if s is None else s.backtracks
-            ls_trials += LS_TRIALS if s is None else s.backtracks + 1
         trace.append(TraceRecord(
             k=k,
             F=F_trial,
@@ -384,8 +388,8 @@ def solve(
             rho=rho,
             backtracks=backtracks,
             ssn_iters=ssn_iters,
-            resolves=len(passes),
-            rejected_rhos=tuple([p[2] for p in passes[:-1]]),
+            resolves=resolves,
+            rejected_rhos=tuple(rejected_rhos),
             ls_trials=ls_trials,
             ssn_tol=ssn_tol,
             cg_iters=cg_iters,

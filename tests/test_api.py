@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from stiefelprox import (
     StiefelPoint,
     line_search,
     make_cm,
+    make_problem,
     make_spca,
     project_tangent,
     random_point,
@@ -24,7 +26,6 @@ from stiefelprox import (
     ssn_solve,
 )
 from stiefelprox.bench import ExperimentSpec
-from stiefelprox.problems import check_problem_args
 
 PACKAGE = Path(stiefelprox.__file__).resolve().parent
 
@@ -178,7 +179,7 @@ def test_manifold_entry_points_reject_raw_arguments(case):
 
 
 SIZE_CHECKS = {
-    "check_problem_args": lambda n, r: check_problem_args("cm", n, r, 0.1),
+    "make_problem": lambda n, r: make_problem("cm", n, r, 0.1),
     "random_point": lambda n, r: random_point(n, r, 0),
     "StiefelPoint": lambda n, r: StiefelPoint(np.zeros((n, r))),
     "ExperimentSpec": lambda n, r: ExperimentSpec("cm", n_values=(n,), r_values=(r,), mu_values=(0.1,)),
@@ -193,3 +194,32 @@ def test_every_entry_point_states_one_size_rule(entry, n, r):
     with pytest.raises(ValueError) as info:
         SIZE_CHECKS[entry](n, r)
     assert str(info.value) == f"need 1 <= r <= n, got n={n}, r={r}"
+
+
+REAL_CHECKS = {
+    "SolverConfig.sigma0": lambda value: SolverConfig(sigma0=value),
+    "CompositeProblem.mu": lambda value: CompositeProblem(lambda X: 0.0, np.zeros_like, value, 1.0, (16, 2)),
+    "CompositeProblem.lipschitz_estimate": (
+        lambda value: CompositeProblem(lambda X: 0.0, np.zeros_like, 0.1, value, (16, 2))
+    ),
+    "ssn_solve.mu": lambda value: ssn_solve(X16, np.zeros((16, 2)), np.ones(16), value),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_CHECKS)
+@pytest.mark.parametrize("value", [np.float32("inf"), np.float32("nan")], ids=["inf", "nan"])
+def test_every_real_check_rejects_non_finite_float32(entry, value):
+    # float32 inf used to pass: the bound sys.float_info.max was cast to
+    # float32, where it overflows to inf with a RuntimeWarning
+    name = entry.split(".")[1]
+    with pytest.raises(ValueError) as info:
+        REAL_CHECKS[entry](value)
+    message = str(info.value)
+    assert message.startswith(f"{name} must be a finite number") and message.endswith(f"0, got {value!r}")
+
+
+@pytest.mark.parametrize("entry", REAL_CHECKS)
+def test_every_real_check_accepts_finite_float32_without_a_warning(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        REAL_CHECKS[entry](np.float32(0.5))

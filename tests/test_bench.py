@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from stiefelprox.bench import (
     run_experiment,
     run_label,
 )
+from stiefelprox.problems import make_problem
 from stiefelprox.solver import Mode, Status, TRACE_CSV_HEADER
 from stiefelprox.stiefel import RetractionKind
 
@@ -22,6 +24,17 @@ TINY = dict(problem="cm", n_values=(16,), r_values=(2,), mu_values=(0.1,), seeds
 # SHA-256 of the summary CSV, cpu_s column dropped, of CM(16|32,2,0.1) under
 # nls, pg and arpqn with seeds 0 and 1
 PINNED_SWEEP_SUMMARY_CSV = "2bdd03d5f7d914ac931a63944ec0d3964c3aedf11ff5a710f1e1cf011f23aac2"
+
+# grid points that make_problem cannot build, and the spec's error for each
+BAD_GRIDS = [
+    ({"n_values": (64.5,)}, "n must be an integer"),
+    ({"r_values": (2, 2.0)}, "r must be an integer"),
+    ({"mu_values": (-0.1,)}, "mu must be a finite number"),
+    ({"mu_values": (0.1, float("inf"))}, "mu must be a finite number"),
+    ({"n_values": (16, 8), "r_values": (12,)}, "1 <= r <= n"),
+    ({"n_values": (3,), "r_values": (1,)}, "n >= 4"),
+    ({"mu_values": (True,)}, "mu must be a finite number"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -73,14 +86,7 @@ class TestSpec:
 
     @pytest.mark.parametrize(
         "grid, match",
-        [
-            ({"n_values": (64.5,)}, "n must be an integer"),
-            ({"r_values": (2, 2.0)}, "r must be an integer"),
-            ({"mu_values": (-0.1,)}, "mu must be a finite number"),
-            ({"mu_values": (0.1, float("inf"))}, "mu must be a finite number"),
-            ({"n_values": (16, 8), "r_values": (12,)}, "1 <= r <= n"),
-            ({"n_values": (3,), "r_values": (1,)}, "n >= 4"),
-            ({"mu_values": (True,)}, "mu must be a finite number"),
+        BAD_GRIDS + [
             # mu agreeing to the 6 digits of {mu:g}, a repeated value
             ({"mu_values": (0.1, 0.1000001)}, "share the label 'cm_n16_r2_mu0.1_nls_svd'"),
             ({"n_values": (16, 16)}, "share the label 'cm_n16_r2_mu0.1_nls_svd'"),
@@ -92,6 +98,21 @@ class TestSpec:
         # pool, or two cells wrote rows of one label to the same trace files
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(**{**TINY, **grid})
+
+    @pytest.mark.parametrize("grid", [grid for grid, _ in BAD_GRIDS])
+    def test_invalid_grid_point_fails_with_make_problems_message(self, grid):
+        # the spec builds each grid point, so a cell is valid exactly when
+        # make_problem can build it
+        spec = {**TINY, **grid}
+        with pytest.raises(ValueError) as info:
+            ExperimentSpec(**spec)
+        for n, r, mu in itertools.product(spec["n_values"], spec["r_values"], spec["mu_values"]):
+            try:
+                make_problem(spec["problem"], n, r, mu)
+            except ValueError as exc:
+                assert str(exc) == str(info.value)
+                return
+        pytest.fail("make_problem builds every grid point")
 
     def test_spca_grid_point_checked_as_make_spca_checks_it(self):
         # three grid points are fine for sparse PCA, not for compressed modes
@@ -392,6 +413,32 @@ class TestCli:
             main(args + ["--out", str(out)])
         assert exc.value.code == "bench: two grid cells share the label 'cm_n16_r2_mu0.1_nls_svd'"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            (["--out", "missing/x.csv"], "bench: --out 'missing/x.csv' must name a file in a writable directory"),
+            (["--out", "."], "bench: --out '.' must name a file in a writable directory"),
+            (
+                ["--out", "x.csv", "--trace-dir", "taken"],
+                "bench: trace_dir 'taken' is not a usable directory: File exists",
+            ),
+        ],
+        ids=["out-in-missing-directory", "out-is-a-directory", "trace-dir-is-a-file"],
+    )
+    def test_unusable_output_path_exits_before_any_run(self, tmp_path, monkeypatch, where, message):
+        # each used to run every solve and then raise FileNotFoundError or
+        # IsADirectoryError, or raise FileExistsError out of run_experiment
+        runs = []
+        monkeypatch.setattr(bench, "_run_single", runs.append)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        args = ["--problem", "cm", "--n", "16", "--r", "2", "--mu", "0.1", "--seeds", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + where)
+        assert exc.value.code == message
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_config_flags_come_from_solver_config(self, capsys):
         # one typed flag per SolverConfig field other than mode and retraction

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -292,6 +293,20 @@ class TestCompositeProblem:
         # dataclasses.replace, which runs the same check
         with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0"):
             self.build(**{field: value})
+
+    def test_stores_mu_and_lipschitz_estimate_as_floats(self):
+        # a float32 mu used to be stored as given, and F was then evaluated in
+        # float32: np.float32(0.8195966) for CM(16,2,0.1) at seed 0
+        cm = make_cm(16, 2, 0.1)
+        mu, L = np.float32(0.1), np.float32(cm.lipschitz_estimate)
+        direct = CompositeProblem(cm.eval_f, cm.eval_grad_f, mu, L, cm.shape)
+        replaced = dataclasses.replace(cm, mu=mu, lipschitz_estimate=L)
+        reference = make_cm(16, 2, float(mu))
+        X = random_point(16, 2, 0).data
+        for prob in (direct, replaced):
+            assert type(prob.mu) is float and type(prob.lipschitz_estimate) is float
+            assert prob.mu == float(mu) and prob.lipschitz_estimate == float(L)
+            assert type(prob.objective(X)) is float and prob.objective(X) == reference.objective(X)
 
     @pytest.mark.parametrize(
         "shape", [[16, 2], (16,), (16, 2, 1), 16, None], ids=["list", "one-size", "three-sizes", "int", "None"]
