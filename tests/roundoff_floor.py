@@ -11,6 +11,7 @@ them without running the solver. To extract them again:
 
 from __future__ import annotations
 
+import argparse
 import functools
 import os
 import sys
@@ -58,6 +59,11 @@ def extract() -> dict[str, np.ndarray]:
             for name, index in CALLS.items() for field, value in zip(FIELDS, calls[index])}
 
 
-if __name__ == "__main__":
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     np.savez(FIXTURE, **extract())
     print(f"wrote {FIXTURE}")
+
+
+if __name__ == "__main__":
+    main()

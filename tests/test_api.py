@@ -95,22 +95,27 @@ def test_bench_module_runs_without_a_runtime_warning():
     [
         ("paired_timing.py", ["--help"], 0, ""),
         ("ssn_search.py", ["--help"], 0, ""),
+        ("roundoff_floor.py", ["--help"], 0, ""),
         ("paired_timing.py", ["src", "src", "--rounds", "0"], 2, "argument --rounds: must be at least 1, got 0"),
         ("paired_timing.py", ["src", "src", "--seeds", "3-1"], 2, "argument --seeds: empty seed range '3-1'"),
         ("ssn_search.py", ["--seeds", "0"], 2, "argument --seeds: must be at least 1, got 0"),
         ("ssn_search.py", ["--seeds", "-3"], 2, "argument --seeds: must be at least 1, got -3"),
     ],
-    ids=["paired-help", "ssn-help", "paired-no-rounds", "paired-no-seeds", "ssn-no-seeds", "ssn-negative-seeds"],
+    ids=["paired-help", "ssn-help", "roundoff-help", "paired-no-rounds", "paired-no-seeds", "ssn-no-seeds", "ssn-negative-seeds"],
 )
 def test_tool_scripts_parse_their_arguments(script, args, code, stderr):
-    # pytest collects neither script, so a broken import or parser would go
-    # unnoticed; a subprocess keeps their BLAS settings out of this process
+    # pytest collects none of the scripts, so a broken import or parser would
+    # go unnoticed; a subprocess keeps their BLAS settings out of this process.
+    # Parsing alone must not rewrite the committed roundoff-floor fixture.
     tool = Path(__file__).resolve().parent / script
+    fixture = tool.with_name("roundoff_floor.npz")
+    written = fixture.stat().st_mtime_ns
     proc = subprocess.run([sys.executable, str(tool), *args], capture_output=True, text=True, timeout=60)
     assert proc.returncode == code, proc.stderr
     assert stderr in proc.stderr
     if code == 0:
         assert "usage:" in proc.stdout
+    assert fixture.stat().st_mtime_ns == written
 
 
 def test_solve_calls_no_numpy_python_wrappers(monkeypatch):

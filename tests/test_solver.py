@@ -391,23 +391,14 @@ class TestSolve:
         assert all(b < a for a, b in zip(F_values, F_values[1:]))
 
     def test_trace_invariants_on_cm_run(self, monkeypatch):
-        import stiefelprox.solver as solver_mod
-
         prob = make_cm(64, 4, 0.1)
         cfg = SolverConfig()
-        # every point a line search returns; the accepted iterates are among them
-        feas = []
-
-        def recording(*args):
-            ls = line_search(*args)
-            if ls is not None:
-                feas.append(feasibility_residual(ls.point))
-            return ls
-
-        monkeypatch.setattr(solver_mod, "line_search", recording)
+        searches = _scripted_line_search(monkeypatch, lambda k, j: False)
         res = solve(prob, random_point(64, 4, 0), cfg)
         assert res.status is Status.CONVERGED
         tr = res.trace
+        # every point a line search returns; the accepted iterates are among them
+        feas = [feasibility_residual(ls.point) for _, _, ls in searches if ls is not None]
         assert len(feas) >= len(tr)
         assert max(feas) <= 1e-10
         # nonmonotone reference sequence is non-increasing
@@ -656,20 +647,57 @@ def _recording_ssn(monkeypatch):
     return calls
 
 
+def _scripted_line_search(monkeypatch, fails):
+    """Route the solver's line_search through a script: search j of accepted
+    iteration k returns None when fails(k, j) is true and runs the real search
+    otherwise. k counts the base points the searches start from, which change
+    only when an iteration is accepted. Returns the log of (k, j, result)."""
+    import stiefelprox.solver as solver_mod
+
+    searches, bases = [], []
+
+    def scripted(problem, v, w, F_ref, config):
+        if not bases or v.base is not bases[-1]:
+            bases.append(v.base)
+        k = len(bases) - 1
+        j = searches[-1][1] + 1 if searches and searches[-1][0] == k else 0
+        ls = None if fails(k, j) else line_search(problem, v, w, F_ref, config)
+        searches.append((k, j, ls))
+        return ls
+
+    monkeypatch.setattr(solver_mod, "line_search", scripted)
+    return searches
+
+
 RECORDED_RUNS = pytest.mark.parametrize(
-    "mode, n, r, seed, escalates",
-    [
-        (Mode.NONMONOTONE, 64, 4, 0, False),
-        # iteration 10 of this run re-solves after five sigma escalations
-        (Mode.MONOTONE, 32, 2, 9, True),
-        (Mode.PROX_GRAD, 32, 2, 2, False),
-    ],
+    "mode, n, r, seed",
+    [(Mode.NONMONOTONE, 64, 4, 0), (Mode.MONOTONE, 32, 2, 9), (Mode.PROX_GRAD, 32, 2, 2)],
 )
+# the iteration of a RECORDED_RUNS solve whose first line search is made to fail
+FORCED_RESOLVE = 3
+
+
+def _recorded_run(monkeypatch, mode, n, r, seed):
+    """The recorded subproblem passes and the result of a CONVERGED
+    RECORDED_RUNS solve. Outside pg, iteration FORCED_RESOLVE re-solves at a
+    larger sigma after its first line search fails; pg, which stalls at a
+    failed search, runs unscripted and makes one pass per iteration."""
+    if mode is not Mode.PROX_GRAD:
+        _scripted_line_search(monkeypatch, lambda k, j: (k, j) == (FORCED_RESOLVE, 0))
+    calls = _recording_ssn(monkeypatch)
+    res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
+    assert res.status is Status.CONVERGED
+    if mode is Mode.PROX_GRAD:
+        assert all(t.resolves == 1 for t in res.trace)
+    else:
+        assert res.trace[FORCED_RESOLVE].rejected_rhos == (-math.inf,)
+    return calls, res
 
 
 def _passes_by_iteration(calls, trace):
-    """The recorded subproblem passes split by outer iteration; the pass that
-    found the stop forms the last group."""
+    """The recorded subproblem passes split by outer iteration. It assumes the
+    run ended on one unrecorded pass, the pass of the CONVERGED exit, which
+    forms the last group."""
     assert len(calls) == sum(t.resolves for t in trace) + 1
     groups, i = [], 0
     for t in trace + [None]:
@@ -681,11 +709,8 @@ def _passes_by_iteration(calls, trace):
 
 class TestInexactSubproblem:
     @RECORDED_RUNS
-    def test_tolerance_follows_forcing_rule(self, monkeypatch, mode, n, r, seed, escalates):
-        calls = _recording_ssn(monkeypatch)
-        res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
-        assert res.status is Status.CONVERGED
-        assert any(t.resolves > 1 for t in res.trace) == escalates
+    def test_tolerance_follows_forcing_rule(self, monkeypatch, mode, n, r, seed):
+        calls, res = _recorded_run(monkeypatch, mode, n, r, seed)
         for k, passes in enumerate(_passes_by_iteration(calls, res.trace)):
             G = passes[0][1]
             floor = 1e-8 * max(1.0, float(np.linalg.norm(G)))
@@ -695,10 +720,8 @@ class TestInexactSubproblem:
                 assert res.trace[k].ssn_tol == expected
 
     @RECORDED_RUNS
-    def test_warm_start_extrapolates_the_last_two_multipliers(self, monkeypatch, mode, n, r, seed, escalates):
-        calls = _recording_ssn(monkeypatch)
-        res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
-        assert res.status is Status.CONVERGED
+    def test_warm_start_extrapolates_the_last_two_multipliers(self, monkeypatch, mode, n, r, seed):
+        calls, res = _recorded_run(monkeypatch, mode, n, r, seed)
         groups = _passes_by_iteration(calls, res.trace)
         # the accepted multiplier of each iteration is its last pass's
         accepted = [passes[-1][7].lam for passes in groups[:-1]]
@@ -713,7 +736,6 @@ class TestInexactSubproblem:
             # a re-solve after a sigma escalation starts where the last pass ended
             for prev, cur in zip(passes, passes[1:]):
                 assert np.array_equal(cur[4], prev[7].lam)
-        assert any(len(passes) > 1 for passes in groups) == escalates
 
     @pytest.mark.parametrize(
         "kind, n, r, mu, seed",
@@ -735,9 +757,8 @@ class TestInexactSubproblem:
 
 
     @RECORDED_RUNS
-    def test_trace_sums_the_subproblem_counters(self, monkeypatch, mode, n, r, seed, escalates):
-        calls = _recording_ssn(monkeypatch)
-        res = solve(make_cm(n, r, 0.1), random_point(n, r, seed), SolverConfig(mode=mode))
+    def test_trace_sums_the_subproblem_counters(self, monkeypatch, mode, n, r, seed):
+        calls, res = _recorded_run(monkeypatch, mode, n, r, seed)
         for t, passes in zip(res.trace, _passes_by_iteration(calls, res.trace)):
             subs = [c[7] for c in passes]
             assert t.ssn_iters == sum(sub.ssn_iters for sub in subs)
@@ -750,8 +771,8 @@ class TestInexactSubproblem:
         # one Newton step per pass leaves most subproblems short of tol
         monkeypatch.setattr(SolverConfig, "max_ssn", 1)
         calls = _recording_ssn(monkeypatch)
-        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=40))
-        assert len(res.trace) == 40
+        res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=20))
+        assert res.status is Status.MAX_ITER and len(res.trace) == 20
         counts = [t.unconverged for t in res.trace]
         assert len(calls) == sum(t.resolves for t in res.trace)
         assert sum(counts) == sum(not c[7].converged for c in calls) > 0
@@ -761,40 +782,15 @@ class TestInexactSubproblem:
         # the first line search fails, so iteration 0 re-solves at a larger
         # sigma; its record adds the failed search's LS_TRIALS trials to the
         # accepted search's own
-        import stiefelprox.solver as solver_mod
-
-        searches = []
-
-        def failing_once(*args):
-            ls = line_search(*args) if searches else None
-            searches.append(ls)
-            return ls
-
-        monkeypatch.setattr(solver_mod, "line_search", failing_once)
+        searches = _scripted_line_search(monkeypatch, lambda k, j: (k, j) == (0, 0))
         res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0), SolverConfig(max_outer=1))
         assert res.status is Status.MAX_ITER
         (t,) = res.trace
-        accepted = searches[-1]
-        assert len(searches) == 2 and accepted is not None
+        accepted = searches[-1][2]
+        assert [(k, j) for k, j, _ in searches] == [(0, 0), (0, 1)] and accepted is not None
         assert t.resolves == 2 and t.rejected_rhos == (-math.inf,)
         assert t.backtracks == LS_TRIALS + accepted.backtracks
         assert t.ls_trials == LS_TRIALS + accepted.backtracks + 1
-
-
-def _failing_after(monkeypatch, successes):
-    """Let the solver's first `successes` line searches that find a step
-    through, then make every later one fail."""
-    import stiefelprox.solver as solver_mod
-
-    found = []
-
-    def failing(*args):
-        ls = line_search(*args) if len(found) < successes else None
-        if ls is not None:
-            found.append(ls)
-        return ls
-
-    monkeypatch.setattr(solver_mod, "line_search", failing)
 
 
 class TestStall:
@@ -806,7 +802,7 @@ class TestStall:
         import stiefelprox.solver as solver_mod
 
         if mode is Mode.NONMONOTONE:
-            _failing_after(monkeypatch, 0)
+            _scripted_line_search(monkeypatch, lambda k, j: True)
         else:
             monkeypatch.setattr(solver_mod, "compute_rho", lambda *args: 0.0)
         calls = _recording_ssn(monkeypatch)
@@ -825,7 +821,7 @@ class TestStall:
         # the last of the 30 passes is solved at sigma0 3^29, where ||V||^2 is
         # about 1.8e-28, under the stop bound: the stalled point must not read
         # as stationary
-        _failing_after(monkeypatch, 0)
+        _scripted_line_search(monkeypatch, lambda k, j: True)
         calls = _recording_ssn(monkeypatch)
         res = solve(make_cm(32, 2, 0.1), random_point(32, 2, 0))
         assert res.status is Status.STALLED
@@ -835,7 +831,7 @@ class TestStall:
         assert res.final_norm_v_sq > SolverConfig.tol_factor * 32 * 2
 
     def test_pg_stalls_at_its_first_failed_line_search(self, monkeypatch):
-        _failing_after(monkeypatch, 0)
+        _scripted_line_search(monkeypatch, lambda k, j: True)
         calls = _recording_ssn(monkeypatch)
         prob, X0 = make_cm(32, 2, 0.1), random_point(32, 2, 0)
         res = solve(prob, X0, SolverConfig(mode=Mode.PROX_GRAD))
@@ -852,7 +848,7 @@ class TestStall:
         prob, X0 = make_cm(32, 2, 0.1), random_point(32, 2, 0)
         ref = solve(prob, X0, SolverConfig(max_outer=k, mode=mode))
         assert ref.status is Status.MAX_ITER
-        _failing_after(monkeypatch, k)
+        _scripted_line_search(monkeypatch, lambda i, j: i >= k)
         calls = _recording_ssn(monkeypatch)
         res = solve(prob, X0, SolverConfig(mode=mode))
         assert res.status is Status.STALLED
