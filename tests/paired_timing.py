@@ -1,17 +1,17 @@
 """Paired in-process timing of two stiefelprox source trees on the same solves.
 
 Each tree's package is imported under its own module name (the package uses
-only relative imports, so a renamed copy loads), with one BLAS thread. Both
-sides solve the same instances from the same initial points; which side goes
-first alternates by seed and round, so a drift of the machine's speed falls
-on both. It prints each side's outer iterations; whether the two sides'
-results are bit-identical, by a hash per seed of the trace records' reprs,
-the status, the final ||V||^2 and the final point's bytes, naming the first
-seed that differs; the per-round time ratios new/base as median, quartiles,
-min and max, per solve and per accepted outer iteration (the benchmark's
-outer_iter_cost is per iteration, and a change that moves iteration counts
-reads differently in the two units); and in how many rounds the new side was
-faster per solve.
+only relative imports, so a renamed copy loads), with one BLAS thread unless
+the caller sets one. Both sides solve the same instances from the same
+initial points; which side goes first alternates by seed and round, so a
+drift of the machine's speed falls on both. It prints each side's outer
+iterations; whether the two sides' results are bit-identical, by a hash per
+seed of the trace records' reprs, the status, the final ||V||^2 and the
+final point's bytes, naming the first seed that differs; the per-round time
+ratios new/base as median, quartiles, min and max, per solve and per
+accepted outer iteration (the benchmark's outer_iter_cost is per iteration,
+and a change that moves iteration counts reads differently in the two
+units); and in how many rounds the new side was faster per solve.
 
 The ratio is noisy: on a 2-core VM, CM(64,4,0.1) seeds 0-7 over 16 rounds
 of one tree against itself gave per-round ratios of 0.865-1.130 (median
@@ -29,19 +29,14 @@ pg) both sides run.
 
 from __future__ import annotations
 
-import os
-
-# BLAS reads these only when numpy is first imported
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import argparse
-import hashlib
 import importlib.util
 import statistics
 import sys
 import time
 from pathlib import Path
+
+from tooling import positive_int, result_digest  # first: it sets up the process
 
 INSTANCES = {
     "cm64": ("cm", 64, 4, 0.1),
@@ -62,27 +57,12 @@ def load_package(src: Path, name: str):
     return module
 
 
-def result_digest(res) -> str:
-    """A hash of everything a solve returns: equal on both sides exactly when
-    the trajectories are bit for bit the same."""
-    h = hashlib.sha256(repr((res.trace, res.status.value, res.final_norm_v_sq)).encode())
-    h.update(res.point.data.tobytes())
-    return h.hexdigest()
-
-
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
     seeds = range(int(lo), int(hi or lo) + 1)
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
     return seeds
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def main(argv=None) -> None:

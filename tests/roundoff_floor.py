@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
-import sys
 from pathlib import Path
 
-# one BLAS thread, as the test suite runs; set before numpy loads its BLAS
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import tooling  # noqa: F401  first: it sets up the process
 
 import numpy as np
 
-# the checkout's package, ahead of any installed copy
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import stiefelprox.solver as solver_module
 from stiefelprox import StiefelPoint, make_spca, random_point
 

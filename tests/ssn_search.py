@@ -12,19 +12,12 @@ it ends with a residual above 1e-6.
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 from collections import Counter
-from pathlib import Path
 
-# one BLAS thread, as the test suite runs; set before numpy loads its BLAS
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from tooling import positive_int  # first: it sets up the process
 
 import numpy as np
 
-# the checkout's package, ahead of any installed copy
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from stiefelprox import random_point, ssn_solve
 
 TOL = 1e-8
@@ -52,13 +45,6 @@ def stop_histogram(seeds) -> tuple[Counter, Counter]:
         if res.residual_norm > FAR:
             far[res.stop] += 1
     return stops, far
-
-
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def main() -> None:

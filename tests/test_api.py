@@ -77,6 +77,22 @@ def test_only_the_checks_module_imports_numbers():
     assert importers == []
 
 
+def test_only_the_tooling_module_sets_up_the_process():
+    # the suite and the tool scripts share one BLAS thread rule and one src/
+    # path rule, in tests/tooling.py, so they cannot drift apart again
+    setters = {"os.environ.setdefault", "os.environ.update", "os.putenv", "sys.path.insert"}
+    found = sorted(
+        f"{path.name}: {ast.unparse(node)}"
+        for path in Path(__file__).resolve().parent.glob("*.py")
+        if path.name != "tooling.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in setters
+        or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and ast.unparse(node.value) == "os.environ"
+    )
+    assert found == []
+
+
 def test_bench_module_runs_without_a_runtime_warning():
     # importing stiefelprox.bench from the package put it in sys.modules before
     # `python -m` executed it, which runpy reports as a RuntimeWarning
@@ -96,12 +112,15 @@ def test_bench_module_runs_without_a_runtime_warning():
         ("paired_timing.py", ["--help"], 0, ""),
         ("ssn_search.py", ["--help"], 0, ""),
         ("roundoff_floor.py", ["--help"], 0, ""),
+        ("basins.py", ["--help"], 0, ""),
         ("paired_timing.py", ["src", "src", "--rounds", "0"], 2, "argument --rounds: must be at least 1, got 0"),
         ("paired_timing.py", ["src", "src", "--seeds", "3-1"], 2, "argument --seeds: empty seed range '3-1'"),
         ("ssn_search.py", ["--seeds", "0"], 2, "argument --seeds: must be at least 1, got 0"),
         ("ssn_search.py", ["--seeds", "-3"], 2, "argument --seeds: must be at least 1, got -3"),
+        ("basins.py", ["--seeds", "3"], 2, "unrecognized arguments: --seeds 3"),
     ],
-    ids=["paired-help", "ssn-help", "roundoff-help", "paired-no-rounds", "paired-no-seeds", "ssn-no-seeds", "ssn-negative-seeds"],
+    ids=["paired-help", "ssn-help", "roundoff-help", "basins-help", "paired-no-rounds", "paired-no-seeds",
+         "ssn-no-seeds", "ssn-negative-seeds", "basins-no-options"],
 )
 def test_tool_scripts_parse_their_arguments(script, args, code, stderr):
     # pytest collects none of the scripts, so a broken import or parser would
